@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InternalInvariantError, PreconditionError
@@ -71,13 +71,13 @@ def _not_certified(reason: str) -> str:
     return f"Not-Certified({reason})"
 
 
-def certify_from_charpoly(phi: IntPolynomial, cross_check: Optional[dict] = None) -> DgsCertificate:
+def certify_from_charpoly(phi: IntPolynomial) -> DgsCertificate:
     """Evaluate the certificate directly on a characteristic polynomial."""
     if not phi.is_monic():
         raise PreconditionError("characteristic polynomial must be monic")
     n = phi.degree
     delta = discriminant(phi)
-    verdict_irr = is_irreducible(phi)
+    verdict_irr = is_irreducible(phi, disc=delta)  # monic, so primitive
     if n % 2 == 1:
         # 2^(-n/2) sqrt(delta) is never an integer scale for odd order;
         # rejected structurally rather than inventing a convention.
@@ -91,7 +91,6 @@ def certify_from_charpoly(phi: IntPolynomial, cross_check: Optional[dict] = None
             s_odd=None,
             s_squarefree=None,
             verdict=_not_certified("odd order"),
-            cross_check=cross_check,
         )
     s = _exact_scaled_sqrt(delta, n)
     if s is None:
@@ -105,7 +104,6 @@ def certify_from_charpoly(phi: IntPolynomial, cross_check: Optional[dict] = None
             s_odd=None,
             s_squarefree=None,
             verdict=_not_certified("delta/2^n is not a perfect square"),
-            cross_check=cross_check,
         )
     if s == 0:
         return DgsCertificate(
@@ -118,7 +116,6 @@ def certify_from_charpoly(phi: IntPolynomial, cross_check: Optional[dict] = None
             s_odd=False,
             s_squarefree=False,
             verdict=_not_certified("repeated eigenvalue (delta = 0)"),
-            cross_check=cross_check,
         )
     fac = factor_integer(s)
     s_odd = s % 2 == 1
@@ -141,7 +138,6 @@ def certify_from_charpoly(phi: IntPolynomial, cross_check: Optional[dict] = None
         s_odd=s_odd,
         s_squarefree=s_squarefree,
         verdict=verdict,
-        cross_check=cross_check,
         probabilistic=fac.probable_only,
     )
 
@@ -164,8 +160,8 @@ def certify_tree(g: SignedGraph) -> DgsCertificate:
     trees are balanced and switching preserves the adjacency spectrum."""
     require_tree(g)
     phi = charpoly(g.adjacency())
-    cross = _bipartite_cross_check(g, phi)
-    cert = certify_from_charpoly(phi, cross_check=cross)
+    cert = certify_from_charpoly(phi)
+    cert = replace(cert, cross_check=_bipartite_cross_check(g, cert.delta))
     if cert.irreducible.irreducible and abs(phi.coefficient(0)) != 1:
         # trees with irreducible charpoly have constant term +-1
         raise InternalInvariantError(
@@ -174,8 +170,9 @@ def certify_tree(g: SignedGraph) -> DgsCertificate:
     return cert
 
 
-def _bipartite_cross_check(g: SignedGraph, phi: IntPolynomial) -> Optional[dict]:
-    """disc(phi) = 2^n * det(M)^2 * disc(charpoly(M^T M))^2 when M is square."""
+def _bipartite_cross_check(g: SignedGraph, delta: int) -> Optional[dict]:
+    """delta = disc(phi) = 2^n * det(M)^2 * disc(charpoly(M^T M))^2 when M
+    is square."""
     b = bipartition(g)  # trees are bipartite
     if len(b.left) != len(b.right):
         return None
@@ -184,10 +181,9 @@ def _bipartite_cross_check(g: SignedGraph, phi: IntPolynomial) -> Optional[dict]
     delta_gram = discriminant(charpoly(gram))
     det_m = det(m)
     rhs = (1 << g.n) * det_m * det_m * delta_gram * delta_gram
-    lhs = discriminant(phi)
-    if lhs != rhs:  # pragma: no cover - identity is a theorem
+    if delta != rhs:  # pragma: no cover - identity is a theorem
         raise InternalInvariantError(
-            f"discriminant identity violated: {lhs} != {rhs}"
+            f"discriminant identity violated: {delta} != {rhs}"
         )
     # |det M| rather than det M: the sign depends on the signing, the
     # certificate must not

@@ -364,8 +364,6 @@ def _cmd_dataset(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed for randomized subcommands (reserved)")
     common.add_argument("--max-n", type=int,
                         default=int(os.environ.get("SPECTRAL_MAX_N", DEFAULT_MAX_N)),
                         help="resource guard for enumeration (env SPECTRAL_MAX_N)")

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import InternalInvariantError, UndefinedInputError
 from .factorint import first_primes
@@ -788,13 +788,62 @@ class IrreducibilityVerdict:
 _MOD_P_ATTEMPTS = 25
 
 
-def is_irreducible(f: IntPolynomial, use_factorization: bool = True) -> IrreducibilityVerdict:
+def _reducible_mod_every_odd_prime(f: IntPolynomial) -> bool:
+    """True when f mod p is reducible for every odd p not dividing lc * disc.
+
+    Holds for a primitive f of degree n >= 2 in two cases:
+
+    (a) f(0) = 0: x divides f.
+    (b) n = 2m, every odd coefficient is 0, and
+        c = (-1)^m * f(0) * lc(f) is a nonzero perfect square.
+
+    Proof of (b).  Let p be odd with p not dividing lc * disc, and suppose
+    f mod p is irreducible with a root alpha in F_(p^2m).  Then p does not
+    divide f(0) (else x | f mod p), so alpha != 0 and -alpha != alpha.
+    Since f is even, -alpha is a root too, so it lies in the Frobenius
+    orbit of alpha, which has length 2m: -alpha = alpha^(p^k) with
+    0 < k < 2m, and applying Frobenius k more times gives alpha^(p^2k) =
+    alpha, so 2m | 2k, k = m and alpha^(p^m) = -alpha.  Hence
+    gamma = alpha^2 lies in F_(p^m) while its square roots +-alpha do not:
+    gamma is a non-square in F_(p^m).  Pairing the roots alpha^(p^i) and
+    alpha^(p^(i+m)) = -alpha^(p^i) gives
+        f(0) / lc = N(alpha) = (-1)^m * N_(F_(p^m)/F_p)(gamma),
+    and the norm preserves the quadratic character
+    (N(gamma)^((p-1)/2) = gamma^((p^m-1)/2)), so (-1)^m * f(0) / lc, and
+    with it c = ((-1)^m * f(0) / lc) * lc^2, is a non-square mod p.  But c
+    is a square in Z, prime to p, hence a square mod p: a contradiction.
+
+    Tree charpolys with a perfect matching (phi = psi(x^2), constant term
+    (-1)^m) satisfy (b); so do x^4 + 1 and x^4 + x^2 + 1.
+    """
+    cs = f.coeffs
+    n = len(cs) - 1
+    if n < 2:
+        return False
+    if cs[0] == 0:
+        return True
+    if n % 2 or any(cs[1::2]):
+        return False
+    c = (-1) ** (n // 2) * cs[0] * cs[-1]
+    return c > 0 and math.isqrt(c) ** 2 == c
+
+
+def is_irreducible(
+    f: IntPolynomial, use_factorization: bool = True, disc: int | None = None
+) -> IrreducibilityVerdict:
     """Irreducibility over Q.
 
+    disc, when given, must be the discriminant of f's primitive part; it
+    spares recomputing it.
+
     Fast path: f mod p irreducible for one of the first 25 usable primes
-    (not dividing lc * disc) proves irreducibility.  Otherwise the full
-    integer factorization decides, unless disabled, in which case the
-    verdict is 'unknown'.
+    (odd, not dividing lc * disc) proves irreducibility.  The fast path is
+    skipped when no such prime can exist: when x divides f, or when f is
+    even with (-1)^(n/2) * f(0) * lc(f) a perfect square, as every tree
+    charpoly with a perfect matching is (see
+    _reducible_mod_every_odd_prime for the proof).  Otherwise, or after a
+    skip, the full integer factorization decides, unless disabled, in
+    which case the verdict is 'unknown'.
     """
     if f.is_zero():
         raise UndefinedInputError("irreducibility of the zero polynomial")
@@ -804,21 +853,18 @@ def is_irreducible(f: IntPolynomial, use_factorization: bool = True) -> Irreduci
         raise UndefinedInputError("irreducibility requires degree >= 1")
     if n == 1:
         return IrreducibilityVerdict("irreducible", method="degree-1")
-    disc = discriminant(prim)
+    if disc is None:
+        disc = discriminant(prim)
     if disc == 0:
         witness = poly_gcd(prim, prim.derivative())
         if 0 < witness.degree < n:
             return IrreducibilityVerdict("reducible", witness=witness)
         raise InternalInvariantError("zero discriminant without repeated factor")
-    tried = 0
-    for p in first_primes(2000)[1:]:
-        if tried >= _MOD_P_ATTEMPTS:
-            break
-        if (prim.lc * disc) % p == 0:
-            continue
-        tried += 1
-        if _gf_is_irreducible(_gf_monic(_gf_from_poly(prim.coeffs, p), p), p):
-            return IrreducibilityVerdict("irreducible", method="mod-p", prime=p)
+    if not _reducible_mod_every_odd_prime(prim):
+        usable = (p for p in first_primes(2000)[1:] if (prim.lc * disc) % p)
+        for p in islice(usable, _MOD_P_ATTEMPTS):
+            if _gf_is_irreducible(_gf_monic(_gf_from_poly(prim.coeffs, p), p), p):
+                return IrreducibilityVerdict("irreducible", method="mod-p", prime=p)
     if not use_factorization:
         return IrreducibilityVerdict("unknown")
     factors = _factor_primitive_squarefree(prim if prim.lc > 0 else -prim)

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import FieldMismatchError, InternalInvariantError, PreconditionError
+from .errors import (
+    FieldMismatchError,
+    InternalInvariantError,
+    NotBipartiteError,
+    PreconditionError,
+)
 from .intpoly import IntPolynomial, is_irreducible
 from .linalg import IntMatrix, charpoly
 from .sgraph import SignedGraph, bipartite_adjacency, bipartition
@@ -326,7 +331,7 @@ def verify_bipartite_eigen_properties(g: SignedGraph) -> BipartiteEigenReport:
     failures: list[str] = []
     try:
         b = bipartition(g)
-    except Exception:
+    except NotBipartiteError:
         return BipartiteEigenReport(failures=("graph is not bipartite",))
     phi = charpoly(g.adjacency())
     if len(b.left) != len(b.right):

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import kernels
 from .certify import certify_tree
-from .errors import PreconditionError, ResourceGuardError
+from .errors import NotBipartiteError, PreconditionError, ResourceGuardError
 from .intpoly import IntPolynomial
 from .linalg import charpoly
 from .sgraph import (
@@ -153,7 +153,7 @@ def _structure_coordinates(g: SignedGraph):
     """Part-sorted block adjacency when bipartite with equal parts, else None."""
     try:
         b = bipartition(g)
-    except Exception:
+    except NotBipartiteError:
         return None
     if len(b.left) != len(b.right):
         return None

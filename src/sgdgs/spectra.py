@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import PreconditionError
+from .errors import NotBipartiteError, PreconditionError
 from .intpoly import IntPolynomial, is_irreducible
 from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, rat_inverse
 from .sgraph import SignedGraph, bipartition, bipartite_adjacency, from_bipartite_adjacency
@@ -241,7 +241,7 @@ def verify_structure_theorem(g: SignedGraph, h: SignedGraph) -> StructureReport:
     for name, graph in (("first", g), ("second", h)):
         try:
             b = bipartition(graph)
-        except Exception:
+        except NotBipartiteError:
             failures.append(f"{name} graph is not bipartite")
             continue
         if len(b.left) != len(b.right):

@@ -17,7 +17,7 @@ from sgdgs.datasets import (
     remark1_pair,
     remark2_printed_charpoly,
 )
-from sgdgs.errors import NotTreeError, PreconditionError
+from sgdgs.errors import InternalInvariantError, NotTreeError, PreconditionError
 from sgdgs.intpoly import IntPolynomial, discriminant
 from sgdgs.linalg import IntMatrix, charpoly
 from sgdgs.search import enumerate_signings, random_signing, random_tree
@@ -74,6 +74,16 @@ def test_certify_remark1_underlying_tree():
     assert cert.s == 7**2 * 347 * 357175051
     # signing is irrelevant to the certificate
     assert certify_tree(g).to_json_dict() == cert.to_json_dict()
+
+
+def test_certify_tree_cross_check_can_fail(monkeypatch):
+    # the bipartite identity is checked against the delta the certificate
+    # reports; a wrong det(M) must break it
+    import sgdgs.certify as certify_mod
+
+    monkeypatch.setattr(certify_mod, "det", lambda m: 2)
+    with pytest.raises(InternalInvariantError, match="discriminant identity"):
+        certify_tree(path_graph(6))
 
 
 def test_certify_rejects_non_tree():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sgdgs import intpoly
 from sgdgs.datasets import (
     EXAMPLE1_CHARPOLY,
     REMARK1_CHARPOLY,
@@ -11,8 +12,10 @@ from sgdgs.datasets import (
     remark2_printed_charpoly,
 )
 from sgdgs.errors import UndefinedInputError
+from sgdgs.factorint import first_primes
 from sgdgs.intpoly import (
     IntPolynomial,
+    IrreducibilityVerdict,
     discriminant,
     factor,
     format_poly_line,
@@ -22,6 +25,8 @@ from sgdgs.intpoly import (
     resultant,
     squarefree_part,
 )
+from sgdgs.linalg import charpoly
+from sgdgs.search import enumerate_trees
 
 from oracles import (
     brute_force_monic_factor,
@@ -133,6 +138,92 @@ def test_is_irreducible_agrees_with_brute_force():
         assert is_irreducible(f).irreducible == (witness is None)
         checked += 1
     assert checked == 60
+
+
+def _skip_matches_mod_p_loop(monkeypatch, f: IntPolynomial) -> bool:
+    """When the mod-p skip applies to f (nonzero disc), check it against its
+    definition; return whether it applied.
+
+    The skipped call may run no Rabin test.  The unskipped call must run it
+    on exactly the first 25 usable odd primes, fail on each, and reach the
+    same verdict as the skipped call."""
+    prim = f.primitive_part()
+    disc = discriminant(prim)
+    if disc == 0 or not intpoly._reducible_mod_every_odd_prime(prim):
+        return False
+    primes = [p for p in first_primes(2000)[1:] if (prim.lc * disc) % p][:25]
+    rabin = intpoly._gf_is_irreducible
+    results = []
+
+    def spy(fp, p):
+        results.append((p, rabin(fp, p)))
+        return results[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(intpoly, "_gf_is_irreducible", spy)
+        skipped = is_irreducible(f)
+        assert results == []
+        m.setattr(intpoly, "_reducible_mod_every_odd_prime", lambda g: False)
+        looped = is_irreducible(f)
+    assert results == [(p, False) for p in primes], f
+    assert skipped == looped, (f, skipped, looped)
+    return True
+
+
+def test_mod_p_skip_on_tree_charpolys(monkeypatch):
+    # a tree charpoly with nonzero disc is x * g(x) (odd n) or psi(x^2) with
+    # constant term (-1)^(n/2) (even n, perfect matching): the skip applies
+    nonzero_disc = skipped = 0
+    for n in range(2, 13):
+        for tree in enumerate_trees(n).trees:
+            phi = charpoly(tree.adjacency())
+            if discriminant(phi) != 0:
+                nonzero_disc += 1
+                skipped += _skip_matches_mod_p_loop(monkeypatch, phi)
+    assert skipped == nonzero_disc > 0
+
+
+def test_mod_p_skip_on_random_polynomials(monkeypatch):
+    rng = random.Random(777)
+    skipped = 0
+    for i in range(200):
+        if i % 2:
+            g = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 3)]
+            f = X * IntPolynomial(g)
+        else:
+            m = rng.randint(1, 5)
+            psi = [rng.randint(-5, 5) for _ in range(m)] + [rng.randint(1, 3)]
+            if i % 4 == 0:  # make (-1)^m * f(0) * lc a square
+                psi[0] = (-1) ** m * psi[-1] * rng.randint(1, 3) ** 2
+            f = IntPolynomial(psi).compose_x_squared()
+        if f.degree >= 2:
+            skipped += _skip_matches_mod_p_loop(monkeypatch, f)
+    assert skipped >= 100
+    # a square c alone is not enough: with an odd coefficient the fast path
+    # must still run, and it often settles the question
+    settled_mod_p = 0
+    for _ in range(40):
+        m = rng.randint(1, 4)
+        cs = [rng.randint(-5, 5) for _ in range(2 * m)] + [rng.randint(1, 3)]
+        cs[0] = (-1) ** m * cs[-1] * rng.randint(1, 3) ** 2
+        cs[rng.randrange(1, 2 * m, 2)] = rng.choice((-1, 1)) * rng.randint(1, 5)
+        f = IntPolynomial(cs)
+        assert not _skip_matches_mod_p_loop(monkeypatch, f)
+        settled_mod_p += is_irreducible(f).method == "mod-p"
+    assert settled_mod_p >= 10
+
+
+def test_mod_p_skip_boundaries():
+    # c = (-1)^m * f(0) * lc = -1 is no square: the fast path still runs
+    for f in (X**2 + 1, X**4 + X**2 - 1):
+        assert not intpoly._reducible_mod_every_odd_prime(f)
+        assert is_irreducible(f) == IrreducibilityVerdict("irreducible", method="mod-p", prime=3)
+    # c = 1: skipped, and the factorization finds the factor
+    f = X**4 + X**2 + 1
+    assert intpoly._reducible_mod_every_odd_prime(f)
+    assert is_irreducible(f) == IrreducibilityVerdict(
+        "reducible", method="factorization", witness=X**2 + X + 1
+    )
 
 
 def test_squarefree_part_examples():

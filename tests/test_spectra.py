@@ -1,5 +1,6 @@
 """Walk matrices, Q recovery, classification, structure verification."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -200,6 +201,28 @@ def test_verify_structure_non_bipartite():
     tri = SignedGraph(3, ((1, 2, 1), (1, 3, 1), (2, 3, 1)))
     rep = verify_structure_theorem(tri, tri)
     assert any("not bipartite" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [
+        ("sgdgs.search", lambda mod, g: mod._structure_coordinates(g)),
+        ("sgdgs.spectra", lambda mod, g: mod.verify_structure_theorem(g, g)),
+        ("sgdgs.numberfield", lambda mod, g: mod.verify_bipartite_eigen_properties(g)),
+    ],
+    ids=["search", "spectra", "numberfield"],
+)
+def test_bipartition_bug_is_not_read_as_not_bipartite(monkeypatch, module, call):
+    # only NotBipartiteError means "not bipartite"; any other error is a bug
+    # and must propagate
+    mod = importlib.import_module(module)
+
+    def broken(g):
+        raise RuntimeError("bug inside bipartition")
+
+    monkeypatch.setattr(mod, "bipartition", broken)
+    with pytest.raises(RuntimeError, match="bug inside bipartition"):
+        call(mod, path_graph(4))
 
 
 def test_signed_permutation_oracle_when_disc_odd_squarefree():
