@@ -241,7 +241,6 @@ def _cmd_search_mates(args) -> int:
         g,
         all_signed_trees(pool_n),
         descriptor=f"all signings of all trees on {pool_n} vertices",
-        jobs=args.jobs,
     )
     payload = {
         "query_edges": [list(e) for e in g.edges],
@@ -275,7 +274,7 @@ def _cmd_exhaustive_check(args) -> int:
         cert = certify_tree(tree)
         if not cert.certified:
             continue
-        rep = exhaustive_dgs_check(tree, jobs=args.jobs, max_n=max(args.max_n, n))
+        rep = exhaustive_dgs_check(tree, max_n=max(args.max_n, n))
         results.append((tree, rep))
     payload = {
         "n": n,
@@ -404,12 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_sub("search-mates", "search signed trees for generalized-cospectral mates")
     p.add_argument("graph")
     p.add_argument("--pool-n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search_mates)
 
     p = add_sub("exhaustive-check", "confirm all certified trees of one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_exhaustive_check)
 
     p = add_sub("dataset", "show or emit an embedded dataset")

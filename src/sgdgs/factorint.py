@@ -33,15 +33,18 @@ def _small_primes(limit: int) -> list[int]:
 
 
 _PRIMES = _small_primes(_TRIAL_BOUND)
+# first_primes' list: starts as _PRIMES, which trial division keeps using, and
+# is replaced by a longer sieve when a caller asks for more primes
+_extended_primes = _PRIMES
 
 
 def first_primes(count: int) -> list[int]:
-    """The first `count` primes (extends the sieve if needed)."""
-    limit = _TRIAL_BOUND
-    primes = _PRIMES
+    """The first `count` primes (extends the cached sieve if needed)."""
+    global _extended_primes
+    primes = _extended_primes
     while len(primes) < count:
-        limit *= 2
-        primes = _small_primes(limit)
+        primes = _small_primes(2 * primes[-1])  # Bertrand: at least one more prime
+    _extended_primes = primes
     return primes[:count]
 
 

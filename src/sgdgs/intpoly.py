@@ -653,12 +653,18 @@ def _mignotte_bound(coeffs) -> int:
     return (norm * abs(coeffs[-1])) << n
 
 
-def _factor_monic_squarefree(coeffs: list[int], rng: random.Random) -> list[list[int]]:
-    """Irreducible monic factors of a monic square-free integer polynomial."""
+def _factor_monic_squarefree(
+    coeffs: list[int], rng: random.Random, disc: int | None = None
+) -> list[list[int]]:
+    """Irreducible monic factors of a monic square-free integer polynomial.
+
+    disc, when given, must be its discriminant.
+    """
     n = len(coeffs) - 1
     if n <= 1:
         return [coeffs]
-    disc = discriminant(IntPolynomial(coeffs))
+    if disc is None:
+        disc = discriminant(IntPolynomial(coeffs))
     p = None
     for q in first_primes(200)[1:]:  # odd primes
         if disc % q != 0:
@@ -704,13 +710,19 @@ def _factor_monic_squarefree(coeffs: list[int], rng: random.Random) -> list[list
     return result
 
 
-def _factor_primitive_squarefree(f: IntPolynomial) -> list[IntPolynomial]:
-    """Irreducible factors of a primitive square-free f with positive lc."""
+def _factor_primitive_squarefree(
+    f: IntPolynomial, disc: int | None = None
+) -> list[IntPolynomial]:
+    """Irreducible factors of a primitive square-free f with positive lc.
+
+    disc, when given, must be the discriminant of f; it is used only when f
+    is monic (the associate of a non-monic f has another discriminant).
+    """
     if f.degree <= 0:
         return []
     lc = f.lc
     if lc == 1:
-        parts = _factor_monic_squarefree(list(f.coeffs), random.Random(0xF2C7))
+        parts = _factor_monic_squarefree(list(f.coeffs), random.Random(0xF2C7), disc)
         return [IntPolynomial(c) for c in parts]
     # associate the monic polynomial lc^(n-1) * f(x / lc) and map factors back
     n = f.degree
@@ -834,7 +846,7 @@ def is_irreducible(
     """Irreducibility over Q.
 
     disc, when given, must be the discriminant of f's primitive part; it
-    spares recomputing it.
+    spares recomputing it, here and in the factorization fallback.
 
     Fast path: f mod p irreducible for one of the first 25 usable primes
     (odd, not dividing lc * disc) proves irreducibility.  The fast path is
@@ -867,7 +879,8 @@ def is_irreducible(
                 return IrreducibilityVerdict("irreducible", method="mod-p", prime=p)
     if not use_factorization:
         return IrreducibilityVerdict("unknown")
-    factors = _factor_primitive_squarefree(prim if prim.lc > 0 else -prim)
+    # disc(-prim) = disc(prim): Res(-f, -f') = -Res(f, f') and lc(-f) = -lc(f)
+    factors = _factor_primitive_squarefree(prim if prim.lc > 0 else -prim, disc)
     if len(factors) == 1:
         return IrreducibilityVerdict("irreducible", method="factorization")
     witness = factors[0]

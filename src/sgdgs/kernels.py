@@ -1,30 +1,175 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Exact integer kernels: characteristic polynomial and determinant.
 
-Set SGDGS_PURE_PYTHON=1 to force the pure kernels (used by the benchmark
-and to debug suspected extension issues).
+Both operate on plain ``list[list[int]]`` row data and Python big ints, and
+every intermediate value is exact.  ``charpoly_coeffs`` chooses its
+algorithm from the input: a matching-polynomial DP for symmetric,
+zero-diagonal matrices whose graph is a forest (every tree adjacency, signed
+or weighted), division-free Berkowitz for everything else.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-charpoly_coeffs = _kernels_py.charpoly_coeffs
-det_int = _kernels_py.det_int
-_backend = "pure"
-
-if os.environ.get("SGDGS_PURE_PYTHON") != "1":
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-
-        charpoly_coeffs = _speedups.charpoly_coeffs
-        det_int = _speedups.det_int
-        _backend = "compiled"
-    except ImportError:
-        pass
-
 
 def backend() -> str:
-    """Name of the active kernel backend: 'compiled' or 'pure'."""
-    return _backend
+    """Name of the kernel implementation: always 'pure' (Python integers)."""
+    return "pure"
+
+
+def charpoly_coeffs(rows: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - A), ascending degree."""
+    coeffs = _matching_charpoly(rows)
+    return _berkowitz(rows) if coeffs is None else coeffs
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _matching_charpoly(rows: list[list[int]]) -> list[int] | None:
+    """det(xI - A) for a symmetric zero-diagonal A whose graph is a forest;
+    None for any other input.
+
+    On a forest the only spanning elementary subgraphs of Sachs' expansion
+    are matchings, so det(xI - A) = sum_k (-1)^k m_k x^(n-2k), where m_k sums
+    prod a_uv^2 over the k-matchings (Godsil & Gutman 1981).  The m_k come
+    from a rooted DP: for each vertex v, the matching polynomials (in t, one
+    power per matched edge) of v's subtree with v unmatched and with v
+    matched, merged child by child.  O(n^2) coefficient operations.
+    """
+    n = len(rows)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    edges = 0
+    for i in range(n):
+        row = rows[i]
+        if row[i]:
+            return None
+        for j in range(i + 1, n):
+            a = row[j]
+            if a != rows[j][i]:
+                return None
+            if a:
+                edges += 1
+                if edges >= n:  # a forest has at most n - 1 edges
+                    return None
+                adj[i].append((j, a * a))
+                adj[j].append((i, a * a))
+    # depth-first order; the graph is acyclic iff edges = n - components
+    parent: list[int | None] = [None] * n  # -1 for a root
+    weight = [0] * n  # a_(v, parent v)^2
+    order = []
+    roots = []
+    for root in range(n):
+        if parent[root] is not None:
+            continue
+        roots.append(root)
+        parent[root] = -1
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u, w2 in adj[v]:
+                if parent[u] is None:
+                    parent[u] = v
+                    weight[u] = w2
+                    stack.append(u)
+    if edges != n - len(roots):
+        return None
+    free = [[1] for _ in range(n)]  # v unmatched
+    matched: list[list[int]] = [[] for _ in range(n)]  # v matched to a child
+    for v in reversed(order):  # every child before its parent
+        p = parent[v]
+        if p < 0:
+            continue
+        total = _poly_add(free[v], matched[v])
+        pair = [0] + [weight[v] * c for c in _poly_mul(free[p], free[v])]
+        matched[p] = _poly_add(_poly_mul(matched[p], total), pair)
+        free[p] = _poly_mul(free[p], total)
+    m = [1]
+    for r in roots:
+        m = _poly_mul(m, _poly_add(free[r], matched[r]))
+    out = [0] * (n + 1)
+    for k, mk in enumerate(m):
+        out[n - 2 * k] = -mk if k % 2 else mk
+    return out
+
+
+def _berkowitz(rows: list[list[int]]) -> list[int]:
+    """Coefficients of det(xI - A), ascending degree, via Berkowitz.
+
+    Division-free: the k-th step extends the characteristic polynomial of
+    the leading principal k x k submatrix by one Toeplitz product, so all
+    intermediates stay integers.
+    """
+    n = len(rows)
+    poly = [1]  # descending coefficients, charpoly of the empty matrix
+    for k in range(n):
+        r = rows[k]
+        neg_row = [-r[j] for j in range(k)]
+        col = [rows[i][k] for i in range(k)]
+        # items = [1, -a_kk, R·C, R·M·C, ..., R·M^(k-1)·C] with R = -A[k,:k],
+        # C = A[:k,k], M = A[:k,:k]
+        items = [1, -r[k]]
+        v = col
+        for step in range(k):
+            acc = 0
+            for j in range(k):
+                acc += neg_row[j] * v[j]
+            items.append(acc)
+            if step == k - 1:
+                break
+            v = [sum(rows[i][j] * v[j] for j in range(k)) for i in range(k)]
+        new = [0] * (k + 2)
+        for i in range(k + 2):
+            acc = 0
+            for j in range(max(0, i - k - 1), min(i, k) + 1):
+                acc += items[i - j] * poly[j]
+            new[i] = acc
+        poly = new
+    poly.reverse()
+    return poly
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Bareiss two-step scheme: every division by the previous pivot is exact,
+    so entries remain integers throughout.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]

@@ -212,7 +212,12 @@ def det(m: IntMatrix) -> int:
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - A) as a monic integer polynomial (division-free Berkowitz)."""
+    """det(xI - A) as a monic integer polynomial.
+
+    A matching-polynomial DP on symmetric zero-diagonal forest matrices
+    (every tree adjacency), division-free Berkowitz otherwise; see
+    kernels.charpoly_coeffs.
+    """
     _require_square(m, "charpoly")
     return IntPolynomial(kernels.charpoly_coeffs(m.to_lists()))
 
@@ -254,27 +259,6 @@ def rat_inverse(m: RatMatrix) -> RatMatrix:
             a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
     return RatMatrix(inv)
-
-
-def solve_rational(m: RatMatrix, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve m * x = rhs exactly; raises SingularMatrixError when singular."""
-    _require_square(m, "solve_rational")
-    n = m.rows
-    if len(rhs) != n:
-        raise DimensionError("right-hand side length mismatch")
-    a = [list(row) + [Fraction(rhs[i])] for i, row in enumerate(m.data)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError()
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 # -- matrix text format ---------------------------------------------------------

@@ -11,12 +11,10 @@ homogeneous.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from . import kernels
 from .certify import certify_tree
 from .errors import NotBipartiteError, PreconditionError, ResourceGuardError
 from .intpoly import IntPolynomial
@@ -27,6 +25,7 @@ from .sgraph import (
     bipartition,
     bipartite_adjacency,
     from_bipartite_adjacency,
+    is_tree,
     tree_canonical_form,
 )
 from .spectra import (
@@ -178,43 +177,64 @@ def _recover_and_classify(g: SignedGraph, h: SignedGraph):
     return recovery, classify_q(recovery.q, split=split)
 
 
-def _adjacency_charpoly_worker(args: tuple[int, tuple]) -> tuple:
-    n, edges = args
-    rows = [[0] * n for _ in range(n)]
-    for u, v, s in edges:
-        rows[u - 1][v - 1] = s
-        rows[v - 1][u - 1] = s
-    return tuple(kernels.charpoly_coeffs(rows))
+def _walk_key(g: SignedGraph) -> tuple[int, ...]:
+    """Walk counts (w_0, ..., w_(n-1)) with w_k = e^T A^k e.
+
+    Among graphs with equal adjacency charpoly phi_A, equal walk keys is
+    equivalent to equal complement charpolys, so (phi_A, walk key) buckets
+    exactly as the generalized spectrum does.  Proof: with y = -x - 1,
+    xI - (J - I - A) = -[(yI - A) + e e^T], so by the matrix determinant
+    lemma and the Neumann series of (yI - A)^-1 in 1/y,
+
+        phi_(J-I-A)(x) = (-1)^n phi_A(y) (1 + sum_(k>=0) w_k y^(-k-1)).
+
+    Given phi_A, the complement charpoly therefore fixes every w_k (the
+    Laurent expansion at y = infinity is unique) and every w_k fixes it.
+    By Cayley-Hamilton, phi_A(A) = 0, so with phi_A = sum_j c_j x^j and
+    c_n = 1, w_(k+n) = -sum_(j<n) c_j w_(k+j): the w_k with k < n fix all
+    others.  (This is the walk-matrix framework of Wang & Xu, Europ. J.
+    Combin. 2006.)
+    """
+    adj = g.neighbor_lists()
+    v = [1] * (g.n + 1)
+    v[0] = 0
+    key = [g.n]
+    for _ in range(g.n - 1):
+        v = [0] + [sum(s * v[u] for u, s in adj[i]) for i in range(1, g.n + 1)]
+        key.append(sum(v))
+    return tuple(key)
 
 
 def find_gc_mates(
     query: SignedGraph,
     pool: Iterable[SignedGraph],
     descriptor: str = "",
-    jobs: int = 1,
 ) -> MateReport:
     """Generalized-cospectral, non-isomorphic members of the pool.
 
-    Candidates are filtered by adjacency charpoly first (cheap reject,
-    parallelized over `jobs` workers) and by the complement charpoly only
-    on survivors.  Q is recovered and classified for each mate whenever
-    both sides are controllable.
+    The pool is streamed.  Candidates are filtered by adjacency charpoly
+    first and by walk key (see _walk_key) only on survivors.  Every
+    signing of a tree is switching-similar to the tree, so a tree's charpoly
+    is computed once per unsigned edge set; any other pool member gets its
+    own.  Q is recovered and classified for each mate whenever both sides
+    are controllable.
     """
-    a = query.adjacency()
-    phi = tuple(charpoly(a).coeffs)
-    phi_comp = tuple(_complement_charpoly_worker((query.n, query.edges)))
-    candidates = [g for g in pool if g.n == query.n]
-    args = [(g.n, g.edges) for g in candidates]
-    if jobs > 1 and len(args) >= 256:
-        with multiprocessing.Pool(jobs) as workers:
-            adjacency_polys = workers.map(_adjacency_charpoly_worker, args, chunksize=256)
-    else:
-        adjacency_polys = [_adjacency_charpoly_worker(arg) for arg in args]
+    phi = charpoly(query.adjacency())
+    key = _walk_key(query)
+    tree_phi: dict[tuple, IntPolynomial] = {}  # unsigned edge set -> charpoly
+    scanned = 0
     mates = []
-    for candidate, poly in zip(candidates, adjacency_polys):
-        if poly != phi:
+    for candidate in pool:
+        if candidate.n != query.n:
             continue
-        if tuple(_complement_charpoly_worker((candidate.n, candidate.edges))) != phi_comp:
+        scanned += 1
+        shape = tuple((u, v) for u, v, _ in candidate.edges)
+        poly = tree_phi.get(shape)
+        if poly is None:
+            poly = charpoly(candidate.adjacency())
+            if is_tree(candidate):
+                tree_phi[shape] = poly
+        if poly != phi or _walk_key(candidate) != key:
             continue
         if are_isomorphic(query, candidate) is not None:
             continue
@@ -223,8 +243,8 @@ def find_gc_mates(
     return MateReport(
         query=query,
         mates=tuple(mates),
-        candidates_scanned=len(candidates),
-        descriptor=descriptor or f"pool of {len(candidates)} signed graphs",
+        candidates_scanned=scanned,
+        descriptor=descriptor or f"pool of {scanned} signed graphs",
     )
 
 
@@ -258,33 +278,6 @@ class ExhaustiveCheckReport:
     signings_scanned: int
     spectrum_groups: int
     gc_pairs: tuple[GcPairRecord, ...]
-
-
-def _complement_charpoly_worker(args: tuple[int, tuple]) -> tuple:
-    n, edges = args
-    rows = [[0] * n for _ in range(n)]
-    for u, v, s in edges:
-        rows[u - 1][v - 1] = s
-        rows[v - 1][u - 1] = s
-    comp = [
-        [(0 if i == j else 1) - rows[i][j] for j in range(n)] for i in range(n)
-    ]
-    return tuple(kernels.charpoly_coeffs(comp))
-
-
-def _complement_spectra(graphs: list[SignedGraph], jobs: int) -> list[tuple]:
-    args = [(g.n, g.edges) for g in graphs]
-    if jobs <= 1 or len(args) < 64:
-        return [_complement_charpoly_worker(a) for a in args]
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_complement_charpoly_worker, args, chunksize=64)
-
-
-def _group_by_spectrum(graphs: list[SignedGraph], spectra: list[tuple]) -> dict:
-    groups: dict[tuple, list[SignedGraph]] = {}
-    for g, spec in zip(graphs, spectra):
-        groups.setdefault(spec, []).append(g)
-    return groups
 
 
 def _check_spectrum_groups(groups: dict) -> tuple[bool, list]:
@@ -334,7 +327,6 @@ def _structure_records(groups: dict) -> list[GcPairRecord]:
 
 def exhaustive_dgs_check(
     tree: SignedGraph,
-    jobs: int = 1,
     max_n: int = 10,
     structure_records: bool = True,
 ) -> ExhaustiveCheckReport:
@@ -343,7 +335,8 @@ def exhaustive_dgs_check(
     Candidates are restricted to trees cospectral with the input (all
     signings of a tree share its adjacency charpoly, so nothing else can
     be generalized cospectral with a signing of it); their signings are
-    bucketed by complement charpoly and every bucket must consist of
+    bucketed by walk key, which on a common charpoly is equivalent to the
+    complement charpoly (see _walk_key), and every bucket must consist of
     pairwise-isomorphic signed trees.
     """
     cert = certify_tree(tree)
@@ -355,11 +348,12 @@ def exhaustive_dgs_check(
     pool = enumerate_trees(n)
     phi = cert.charpoly
     candidates = [t for t in pool.trees if charpoly(t.adjacency()) == phi]
-    signings: list[SignedGraph] = []
+    groups: dict[tuple, list[SignedGraph]] = {}
+    signings = 0
     for t in candidates:
-        signings.extend(enumerate_signings(t))
-    spectra = _complement_spectra(signings, jobs)
-    groups = _group_by_spectrum(signings, spectra)
+        for g in enumerate_signings(t):
+            groups.setdefault(_walk_key(g), []).append(g)
+            signings += 1
     ok, counterexamples = _check_spectrum_groups(groups)
     records = tuple(_structure_records(groups)) if structure_records else ()
     return ExhaustiveCheckReport(
@@ -368,7 +362,7 @@ def exhaustive_dgs_check(
         ok=ok,
         counterexamples=tuple(counterexamples),
         candidate_trees=len(candidates),
-        signings_scanned=len(signings),
+        signings_scanned=signings,
         spectrum_groups=len(groups),
         gc_pairs=records,
     )

@@ -118,7 +118,7 @@ def test_criterion_4_exhaustive_theorem_check(capsys):
             if not certify_tree(tree).certified:
                 continue
             total_certified += 1
-            report = exhaustive_dgs_check(tree, jobs=4)
+            report = exhaustive_dgs_check(tree)
             assert report.ok, f"counterexample to the main theorem at n={n}!"
             assert report.counterexamples == ()
             _CRITERION4_REPORTS.append(report)

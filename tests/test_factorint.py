@@ -84,6 +84,25 @@ def test_first_primes():
     assert all(trial_division_is_prime(p) for p in ps)
 
 
+def test_first_primes_cache_matches_fresh_sieve(monkeypatch):
+    from sgdgs import factorint
+
+    fresh = factorint._small_primes(40_000)
+    assert first_primes(2000) == fresh[:2000]
+    assert first_primes(3000) == fresh[:3000]
+
+    def no_sieve(limit):
+        raise AssertionError(f"re-sieved up to {limit}")
+
+    monkeypatch.setattr(factorint, "_small_primes", no_sieve)
+    assert first_primes(2000) == fresh[:2000]
+    first_primes(10).append(0)  # callers get a copy
+    assert first_primes(11)[-1] == 31
+    # trial division keeps its list bounded by the trial bound
+    assert factorint._PRIMES == fresh[:1229]
+    assert factorint._PRIMES[-1] < factorint._TRIAL_BOUND < fresh[1229]
+
+
 def test_factorization_str():
     assert str(factor_integer(12)) == "2^2 * 3"
     assert str(factor_integer(1)) == "1"

@@ -226,6 +226,30 @@ def test_mod_p_skip_boundaries():
     )
 
 
+def test_factorization_path_computes_disc_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(intpoly, "discriminant", counting)
+    phi = X**4 - 3 * X**2 + 1  # the 4-path: skips the mod-p loop
+    verdict = is_irreducible(phi)
+    assert verdict.method == "factorization" and verdict.status == "reducible"
+    assert calls == [phi]
+    calls.clear()
+    assert is_irreducible(phi, disc=discriminant(phi)) == verdict
+    assert calls == []
+    assert is_irreducible(-phi) == verdict  # disc(-f) = disc(f) is passed on
+    assert calls == [phi]
+    # lc != +-1: the monic associate computes its own discriminant
+    calls.clear()
+    f = 2 * X**4 + X**2 + 2
+    assert is_irreducible(f).method == "factorization"
+    assert [g.lc for g in calls] == [2, 1]
+
+
 def test_squarefree_part_examples():
     f = (X - 1) * (X - 1) * (X + 2)
     assert squarefree_part(f) == (X - 1) * (X + 2)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sgdgs import _kernels_py
+from sgdgs import kernels
 from sgdgs.errors import DimensionError, SingularMatrixError
 from sgdgs.intpoly import IntPolynomial
 from sgdgs.linalg import (
@@ -18,6 +18,7 @@ from sgdgs.linalg import (
     rat_inverse,
 )
 from sgdgs.datasets import REMARK1_CHARPOLY, remark1_pair
+from sgdgs.search import enumerate_trees
 from sgdgs.sgraph import SignedGraph, permutation_matrix
 from sgdgs.spectra import walk_matrix
 
@@ -147,12 +148,45 @@ def test_matrix_text_roundtrip():
     assert parse_matrix(format_matrix(r)) == r
 
 
-def test_kernel_backends_agree():
-    rng = random.Random(606)
-    from sgdgs import kernels
+def _dp_and_berkowitz_agree(rows):
+    dp = kernels._matching_charpoly(rows)
+    assert dp is not None, rows  # the DP must take every forest
+    assert dp == kernels._berkowitz(rows) == kernels.charpoly_coeffs(rows), rows
 
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        assert kernels.charpoly_coeffs(rows) == _kernels_py.charpoly_coeffs(rows)
-        assert kernels.det_int(rows) == _kernels_py.det_int(rows)
+
+def test_tree_charpoly_dp_matches_berkowitz_on_all_small_trees():
+    for n in range(1, 12):
+        for tree in enumerate_trees(n).trees:
+            _dp_and_berkowitz_agree(tree.adjacency().to_lists())
+
+
+def test_forest_charpoly_dp_matches_berkowitz_on_random_forests():
+    rng = random.Random(707)
+    for trial in range(300):
+        n = rng.randint(1, 16)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        rows = [[0] * n for _ in range(n)]
+        for v in range(1, n):
+            if rng.random() < 0.15:
+                continue  # v starts a new component
+            u = rng.randrange(v)
+            w = rng.choice((-1, 1)) * (1 if trial % 2 else rng.randint(1, 5))
+            rows[labels[u]][labels[v]] = rows[labels[v]][labels[u]] = w
+        _dp_and_berkowitz_agree(rows)
+
+
+def test_non_forest_inputs_take_berkowitz():
+    cycle = path_graph(5).adjacency().to_lists()
+    cycle[0][4] = cycle[4][0] = -1
+    # a triangle beside a path: fewer than n edges, but not a forest
+    triangle = [[0] * 6 for _ in range(6)]
+    for u, v in ((0, 1), (1, 2), (0, 2), (3, 4)):
+        triangle[u][v] = triangle[v][u] = 1
+    diagonal = path_graph(5).adjacency().to_lists()
+    diagonal[2][2] = 3
+    asymmetric = path_graph(5).adjacency().to_lists()
+    asymmetric[3][2] = 2
+    for rows in (cycle, triangle, diagonal, asymmetric):
+        assert kernels._matching_charpoly(rows) is None, rows
+        assert kernels.charpoly_coeffs(rows) == cofactor_charpoly(rows)

@@ -1,5 +1,6 @@
 """Tree enumeration, signing streams, mate search, exhaustive confirmation."""
 
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from sgdgs.certify import certify_tree
 from sgdgs.datasets import EXAMPLE1_CHARPOLY, remark1_pair
 from sgdgs.errors import PreconditionError, ResourceGuardError
-from sgdgs.linalg import charpoly
+from sgdgs.linalg import charpoly, complement_matrix
 from sgdgs.search import (
     FREE_TREE_COUNTS,
     _check_spectrum_groups,
+    _walk_key,
     all_signed_trees,
     decode_pruefer,
     enumerate_signings,
@@ -20,7 +22,8 @@ from sgdgs.search import (
     find_trees_with_charpoly,
     random_tree,
 )
-from sgdgs.sgraph import SignedGraph, are_isomorphic, is_tree, tree_canonical_form
+from sgdgs.sgraph import SignedGraph, are_isomorphic, is_balanced, is_tree, tree_canonical_form
+from sgdgs.spectra import are_generalized_cospectral
 
 from oracles import prufer_free_tree_count
 
@@ -165,3 +168,63 @@ def test_all_signed_trees_stream():
     count = sum(1 for _ in all_signed_trees(5))
     # 3 trees on 5 vertices, 16 signings each
     assert count == 3 * 16
+
+
+def _classes(keys):
+    """The partition of range(len(keys)) into classes of equal key."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, []).append(i)
+    return sorted(classes.values())
+
+
+def test_walk_key_buckets_match_complement_charpoly_buckets():
+    """(phi, walk key) partitions every signing of every tree of order n <= 9
+    exactly as (phi, complement charpoly) does.  Cospectral trees appear
+    from n = 8, so some phi classes hold the signings of several trees."""
+    cross_tree = 0
+    for n in range(1, 10):
+        signings = list(all_signed_trees(n))
+        phis = [charpoly(g.adjacency()) for g in signings]
+        by_walk = _classes([(phi, _walk_key(g)) for phi, g in zip(phis, signings)])
+        by_complement = _classes(
+            [(phi, charpoly(complement_matrix(g.adjacency()))) for phi, g in zip(phis, signings)]
+        )
+        assert by_walk == by_complement, n
+        shape = [tuple((u, v) for u, v, _ in g.edges) for g in signings]
+        cross_tree += sum(len({shape[i] for i in c}) > 1 for c in _classes(phis))
+    assert cross_tree > 0
+
+
+def test_find_gc_mates_non_tree_pool_agrees_with_direct_filter():
+    """Signed unicyclic graphs: signings of one unsigned graph differ in phi
+    when their cycle signs differ, so only tree charpolys may be shared."""
+    n = 5
+    shapes = {}
+    for tree in enumerate_trees(n).trees:
+        present = [(u, v) for u, v, _ in tree.edges]
+        for extra in itertools.combinations(range(1, n + 1), 2):
+            if extra not in present:
+                shapes.setdefault(tuple(sorted(present + [extra])), None)
+    pool = [
+        SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(shape, signs)))
+        for shape in shapes
+        for signs in itertools.product((1, -1), repeat=n)  # all-positive first
+    ]
+    smaller = list(all_signed_trees(n - 1))
+    pool += list(all_signed_trees(n)) + smaller
+    query = SignedGraph(n, ((1, 2, 1), (1, 3, 1), (2, 3, -1), (2, 4, -1), (3, 5, -1)))
+    assert not is_balanced(query).balanced
+    a = query.adjacency()
+    direct = [
+        g for g in pool
+        if g.n == n
+        and are_generalized_cospectral(a, g.adjacency())
+        and are_isomorphic(query, g) is None
+    ]
+    report = find_gc_mates(query, pool)
+    assert [entry.mate for entry in report.mates] == direct
+    assert report.candidates_scanned == len(pool) - len(smaller)
+    # the unbalanced mates share their unsigned graph with an earlier,
+    # balanced pool member of another charpoly
+    assert direct and all(not is_balanced(g).balanced for g in direct)
