@@ -173,24 +173,19 @@ def certify_tree(g: SignedGraph) -> DgsCertificate:
 def _bipartite_cross_check(g: SignedGraph, delta: int) -> Optional[dict]:
     """delta = disc(phi) = 2^n * det(M)^2 * disc(charpoly(M^T M))^2 when M
     is square."""
-    b = bipartition(g)  # trees are bipartite
-    if len(b.left) != len(b.right):
+    rep = _identity_report(g, delta)  # trees are bipartite
+    if rep is None:
         return None
-    m = bipartite_adjacency(g, b)
-    gram = m.T @ m
-    delta_gram = discriminant(charpoly(gram))
-    det_m = det(m)
-    rhs = (1 << g.n) * det_m * det_m * delta_gram * delta_gram
-    if delta != rhs:  # pragma: no cover - identity is a theorem
+    if not rep.holds:  # pragma: no cover - identity is a theorem
         raise InternalInvariantError(
-            f"discriminant identity violated: {delta} != {rhs}"
+            f"discriminant identity violated: {delta} != {rep.rhs}"
         )
     # |det M| rather than det M: the sign depends on the signing, the
     # certificate must not
     return {
-        "delta_gram": delta_gram,
-        "det_m_abs": abs(det_m),
-        "identity_rhs": rhs,
+        "delta_gram": rep.delta_gram,
+        "det_m_abs": abs(rep.det_m),
+        "identity_rhs": rep.rhs,
         "matches_delta": True,
     }
 
@@ -207,19 +202,26 @@ class DiscriminantIdentityReport:
         return self.lhs == self.rhs
 
 
+def _identity_report(g: SignedGraph, lhs: int) -> Optional[DiscriminantIdentityReport]:
+    """The identity with lhs = disc(phi) given, the right-hand side computed
+    from the bipartite block M; None when M is not square."""
+    b = bipartition(g)
+    if len(b.left) != len(b.right):
+        return None
+    m = bipartite_adjacency(g, b)
+    delta_gram = discriminant(charpoly(m.T @ m))
+    det_m = det(m)
+    rhs = (1 << g.n) * det_m * det_m * delta_gram * delta_gram
+    return DiscriminantIdentityReport(lhs=lhs, rhs=rhs, det_m=det_m, delta_gram=delta_gram)
+
+
 def discriminant_identity_check(g: SignedGraph) -> DiscriminantIdentityReport:
     """Evaluate both sides of the bipartite discriminant identity exactly.
 
     Requires a bipartition with equal parts (square M); both sides may be
     zero when det M = 0 or the Gram matrix has repeated eigenvalues.
     """
-    b = bipartition(g)
-    if len(b.left) != len(b.right):
+    rep = _identity_report(g, discriminant(charpoly(g.adjacency())))
+    if rep is None:
         raise PreconditionError("bipartition parts must have equal sizes")
-    m = bipartite_adjacency(g, b)
-    gram = m.T @ m
-    delta_gram = discriminant(charpoly(gram))
-    det_m = det(m)
-    lhs = discriminant(charpoly(g.adjacency()))
-    rhs = (1 << g.n) * det_m * det_m * delta_gram * delta_gram
-    return DiscriminantIdentityReport(lhs=lhs, rhs=rhs, det_m=det_m, delta_gram=delta_gram)
+    return rep

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import datasets
 from .certify import certify_from_charpoly, certify_tree
-from .errors import InternalInvariantError, SgdgsError
+from .errors import InternalInvariantError, ResourceGuardError, SgdgsError
 from .intpoly import IntPolynomial, format_poly, format_poly_line, parse_poly
 from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, parse_matrix
 from .numberfield import verify_bipartite_eigen_properties
@@ -29,6 +29,12 @@ from .sgraph import SignedGraph, format_sg, is_balanced, read_sg, write_sg
 from .spectra import classify_q, recover_q, verify_structure_theorem, walk_matrix
 
 DEFAULT_MAX_N = 10
+
+
+def _guard_order(n: int, args) -> None:
+    """The one resource guard: no enumeration of order above --max-n."""
+    if n > args.max_n:
+        raise ResourceGuardError(f"order {n} exceeds the resource guard --max-n {args.max_n}")
 
 
 def _load_graph(spec: str) -> SignedGraph:
@@ -233,10 +239,7 @@ def _cmd_verify_lemma34(args) -> int:
 def _cmd_search_mates(args) -> int:
     g = _load_graph(args.graph)
     pool_n = args.pool_n or g.n
-    if pool_n > args.max_n:
-        raise ValueError(
-            f"pool order {pool_n} exceeds the resource guard --max-n {args.max_n}"
-        )
+    _guard_order(pool_n, args)
     report = find_gc_mates(
         g,
         all_signed_trees(pool_n),
@@ -269,12 +272,13 @@ def _cmd_search_mates(args) -> int:
 
 def _cmd_exhaustive_check(args) -> int:
     n = args.n
+    _guard_order(n, args)
     results = []
-    for tree in enumerate_trees(n, ceiling=max(args.max_n, n)).trees:
+    for tree in enumerate_trees(n).trees:
         cert = certify_tree(tree)
         if not cert.certified:
             continue
-        rep = exhaustive_dgs_check(tree, max_n=max(args.max_n, n))
+        rep = exhaustive_dgs_check(tree)
         results.append((tree, rep))
     payload = {
         "n": n,
@@ -365,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--max-n", type=int,
                         default=int(os.environ.get("SPECTRAL_MAX_N", DEFAULT_MAX_N)),
-                        help="resource guard for enumeration (env SPECTRAL_MAX_N)")
+                        help="largest order search-mates and exhaustive-check enumerate "
+                             "(env SPECTRAL_MAX_N, default %(default)s)")
     parser = argparse.ArgumentParser(
         prog="sgdgs",
         description="Decide whether signed trees are determined by their generalized spectrum.",

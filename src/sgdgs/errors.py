@@ -42,7 +42,8 @@ class PreconditionError(SgdgsError, ValueError):
 
 
 class ResourceGuardError(SgdgsError, RuntimeError):
-    """Requested size exceeds the configured enumeration ceiling."""
+    """Requested order is above the CLI resource guard --max-n (env
+    SPECTRAL_MAX_N), or below 1 for tree enumeration."""
 
 
 class InternalInvariantError(SgdgsError, AssertionError):

@@ -378,7 +378,11 @@ def squarefree_part(f: IntPolynomial) -> IntPolynomial:
     return q.primitive_part()
 
 
-# -- arithmetic mod p (dense ascending int lists) ------------------------------
+# -- arithmetic mod m (dense ascending int lists) ------------------------------
+#
+# m is a prime p, or a prime power p^k for Hensel lifting.  Division needs a
+# divisor whose leading coefficient is a unit mod m: any nonzero one mod p,
+# a monic one mod p^k.
 
 
 def _gf_trim(a: list[int]) -> list[int]:
@@ -387,56 +391,56 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_from_poly(coeffs, p: int) -> list[int]:
-    return _gf_trim([c % p for c in coeffs])
+def _gf_from_poly(coeffs, m: int) -> list[int]:
+    return _gf_trim([c % m for c in coeffs])
 
 
-def _gf_add(a, b, p):
+def _gf_add(a, b, m):
     n = max(len(a), len(b))
-    return _gf_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    return _gf_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
 
-def _gf_sub(a, b, p):
+def _gf_sub(a, b, m):
     n = max(len(a), len(b))
-    return _gf_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    return _gf_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
 
-def _gf_mul(a, b, p):
+def _gf_mul(a, b, m):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
+                out[i + j] = (out[i + j] + ai * bj) % m
     return _gf_trim(out)
 
 
-def _gf_scale(a, s, p):
-    return _gf_trim([c * s % p for c in a])
+def _gf_scale(a, s, m):
+    return _gf_trim([c * s % m for c in a])
 
 
-def _gf_divmod(a, b, p):
+def _gf_divmod(a, b, m):
     if not b:
         raise ZeroDivisionError("gf division by zero")
-    inv = pow(b[-1], p - 2, p)
-    r = [c % p for c in a]
+    inv = pow(b[-1], -1, m)
+    r = [c % m for c in a]
     if len(r) < len(b):
         return [], _gf_trim(r)
     q = [0] * (len(r) - len(b) + 1)
     for i in range(len(q) - 1, -1, -1):
-        coef = r[i + len(b) - 1] * inv % p
+        coef = r[i + len(b) - 1] * inv % m
         if coef:
             q[i] = coef
             for j, bc in enumerate(b):
-                r[i + j] = (r[i + j] - coef * bc) % p
+                r[i + j] = (r[i + j] - coef * bc) % m
     return _gf_trim(q), _gf_trim(r[: len(b) - 1])
 
 
 def _gf_monic(a, p):
     if not a:
         return a
-    return _gf_scale(a, pow(a[-1], p - 2, p), p)
+    return _gf_scale(a, pow(a[-1], -1, p), p)
 
 
 def _gf_gcd(a, b, p):
@@ -458,7 +462,7 @@ def _gf_gcdex(a, b, p):
         t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
     if not r0:
         raise ZeroDivisionError("gcdex of zero polynomials")
-    inv = pow(r0[-1], p - 2, p)
+    inv = pow(r0[-1], -1, p)
     return _gf_scale(s0, inv, p), _gf_scale(t0, inv, p), _gf_monic(r0, p)
 
 
@@ -552,46 +556,6 @@ def _gf_factor_squarefree(f, p, rng: random.Random):
 # -- Hensel lifting -----------------------------------------------------------
 
 
-def _z_mod(a, m):
-    return _gf_trim([c % m for c in a])
-
-
-def _z_mul_mod(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _gf_trim(out)
-
-
-def _z_divmod_monic_mod(a, b, m):
-    """Division by monic b with coefficients mod m."""
-    r = [c % m for c in a]
-    if len(r) < len(b):
-        return [], _gf_trim(r)
-    q = [0] * (len(r) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        coef = r[i + len(b) - 1] % m
-        if coef:
-            q[i] = coef
-            for j, bc in enumerate(b):
-                r[i + j] = (r[i + j] - coef * bc) % m
-    return _gf_trim(q), _gf_trim(r[: len(b) - 1])
-
-
-def _z_sub_mod(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
-def _z_add_mod(a, b, m):
-    n = max(len(a), len(b))
-    return _gf_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
 def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m) to the same mod m^2.
 
@@ -599,14 +563,14 @@ def _hensel_step(m, f, g, h, s, t):
     Algorithm 15.10.
     """
     mm = m * m
-    e = _z_sub_mod(f, _z_mul_mod(g, h, mm), mm)
-    q, r = _z_divmod_monic_mod(_z_mul_mod(s, e, mm), h, mm)
-    g_new = _z_add_mod(g, _z_add_mod(_z_mul_mod(t, e, mm), _z_mul_mod(q, g, mm), mm), mm)
-    h_new = _z_add_mod(h, r, mm)
-    b = _z_sub_mod(_z_add_mod(_z_mul_mod(s, g_new, mm), _z_mul_mod(t, h_new, mm), mm), [1], mm)
-    c, d = _z_divmod_monic_mod(_z_mul_mod(s, b, mm), h_new, mm)
-    s_new = _z_sub_mod(s, d, mm)
-    t_new = _z_sub_mod(t, _z_add_mod(_z_mul_mod(t, b, mm), _z_mul_mod(c, g_new, mm), mm), mm)
+    e = _gf_sub(f, _gf_mul(g, h, mm), mm)
+    q, r = _gf_divmod(_gf_mul(s, e, mm), h, mm)
+    g_new = _gf_add(g, _gf_add(_gf_mul(t, e, mm), _gf_mul(q, g, mm), mm), mm)
+    h_new = _gf_add(h, r, mm)
+    b = _gf_sub(_gf_add(_gf_mul(s, g_new, mm), _gf_mul(t, h_new, mm), mm), [1], mm)
+    c, d = _gf_divmod(_gf_mul(s, b, mm), h_new, mm)
+    s_new = _gf_sub(s, d, mm)
+    t_new = _gf_sub(t, _gf_add(_gf_mul(t, b, mm), _gf_mul(c, g_new, mm), mm), mm)
     return g_new, h_new, s_new, t_new
 
 
@@ -616,7 +580,7 @@ def _hensel_lift_factors(f, facs, p, target):
     Splits the factor list in half, lifts the two subproducts, recurses.
     """
     if len(facs) == 1:
-        return [_z_mod(f, p**target)]
+        return [_gf_from_poly(f, p**target)]
     half = len(facs) // 2
     g = [1]
     for fac in facs[:half]:
@@ -630,12 +594,13 @@ def _hensel_lift_factors(f, facs, p, target):
     m = p
     exponent = 1
     while exponent < target:
-        g, h, s, t = _hensel_step(m, _z_mod(f, m * m), g, h, s, t)
+        g, h, s, t = _hensel_step(m, _gf_from_poly(f, m * m), g, h, s, t)
         m *= m
         exponent *= 2
     pk = p**target
-    return _hensel_lift_factors(_z_mod(g, pk), facs[:half], p, target) + _hensel_lift_factors(
-        _z_mod(h, pk), facs[half:], p, target
+    return (
+        _hensel_lift_factors(_gf_from_poly(g, pk), facs[:half], p, target)
+        + _hensel_lift_factors(_gf_from_poly(h, pk), facs[half:], p, target)
     )
 
 
@@ -694,7 +659,7 @@ def _factor_monic_squarefree(
         for subset in combinations(remaining, size):
             cand = [1]
             for i in subset:
-                cand = _z_mul_mod(cand, lifted[i], big)
+                cand = _gf_mul(cand, lifted[i], big)
             cand = [_sym(c, big) for c in cand]
             q = try_exact_divide(IntPolynomial(current), IntPolynomial(cand))
             if q is not None:

@@ -23,9 +23,8 @@ from .sgraph import (
     SignedGraph,
     are_isomorphic,
     bipartition,
-    bipartite_adjacency,
-    from_bipartite_adjacency,
     is_tree,
+    part_sorted_adjacency,
     tree_canonical_form,
 )
 from .spectra import (
@@ -35,8 +34,6 @@ from .spectra import (
     is_controllable,
     recover_q,
 )
-
-TREE_CEILING_DEFAULT = 14
 
 # free-tree counts for n = 1..10; pinned cross-check for the enumerator
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
@@ -53,10 +50,10 @@ class TreePool:
 _POOL_CACHE: dict[int, TreePool] = {}
 
 
-def enumerate_trees(n: int, ceiling: int = TREE_CEILING_DEFAULT) -> TreePool:
+def enumerate_trees(n: int) -> TreePool:
     """All isomorphism classes of free trees on n vertices."""
-    if not 1 <= n <= ceiling:
-        raise ResourceGuardError(f"tree enumeration limited to 1 <= n <= {ceiling}")
+    if n < 1:
+        raise ResourceGuardError(f"tree enumeration needs n >= 1, got {n}")
     if n in _POOL_CACHE:
         return _POOL_CACHE[n]
     level: dict[str, SignedGraph] = {
@@ -156,7 +153,7 @@ def _structure_coordinates(g: SignedGraph):
         return None
     if len(b.left) != len(b.right):
         return None
-    return from_bipartite_adjacency(bipartite_adjacency(g, b)).adjacency()
+    return part_sorted_adjacency(g, b)
 
 
 def _recover_and_classify(g: SignedGraph, h: SignedGraph):
@@ -248,9 +245,9 @@ def find_gc_mates(
     )
 
 
-def all_signed_trees(n: int, ceiling: int = TREE_CEILING_DEFAULT) -> Iterator[SignedGraph]:
+def all_signed_trees(n: int) -> Iterator[SignedGraph]:
     """Every signing of every free tree on n vertices."""
-    for tree in enumerate_trees(n, ceiling=ceiling).trees:
+    for tree in enumerate_trees(n).trees:
         yield from enumerate_signings(tree)
 
 
@@ -327,7 +324,6 @@ def _structure_records(groups: dict) -> list[GcPairRecord]:
 
 def exhaustive_dgs_check(
     tree: SignedGraph,
-    max_n: int = 10,
     structure_records: bool = True,
 ) -> ExhaustiveCheckReport:
     """Confirm a certified tree against every signed tree of its order.
@@ -343,8 +339,6 @@ def exhaustive_dgs_check(
     if not cert.certified:
         raise PreconditionError(f"tree is not certified ({cert.verdict})")
     n = tree.n
-    if n > max_n:
-        raise ResourceGuardError(f"exhaustive check limited to n <= {max_n}")
     pool = enumerate_trees(n)
     phi = cert.charpoly
     candidates = [t for t in pool.trees if charpoly(t.adjacency()) == phi]
@@ -368,7 +362,7 @@ def exhaustive_dgs_check(
     )
 
 
-def find_trees_with_charpoly(n: int, phi: IntPolynomial, ceiling: int = TREE_CEILING_DEFAULT) -> list[SignedGraph]:
+def find_trees_with_charpoly(n: int, phi: IntPolynomial) -> list[SignedGraph]:
     """Pool members whose (all-positive) adjacency charpoly equals phi."""
-    pool = enumerate_trees(n, ceiling=ceiling)
+    pool = enumerate_trees(n)
     return [t for t in pool.trees if charpoly(t.adjacency()) == phi]

@@ -12,7 +12,7 @@ from typing import Optional
 from .errors import NotBipartiteError, PreconditionError
 from .intpoly import IntPolynomial, is_irreducible
 from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, rat_inverse
-from .sgraph import SignedGraph, bipartition, bipartite_adjacency, from_bipartite_adjacency
+from .sgraph import SignedGraph, bipartition, part_sorted_adjacency
 
 
 def walk_matrix(a: IntMatrix) -> IntMatrix:
@@ -247,7 +247,7 @@ def verify_structure_theorem(g: SignedGraph, h: SignedGraph) -> StructureReport:
         if len(b.left) != len(b.right):
             failures.append(f"{name} graph has unequal part sizes")
             continue
-        mats.append(from_bipartite_adjacency(bipartite_adjacency(graph, b)).adjacency())
+        mats.append(part_sorted_adjacency(graph, b))
     if len(mats) != 2:
         return StructureReport(failures=tuple(failures))
     a_blk, b_blk = mats

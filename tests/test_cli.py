@@ -166,6 +166,22 @@ def test_spectra_matrix_ingestion(capsys, tmp_path):
     assert payload["walk_matrix_det"] == 4
 
 
+def test_exhaustive_check_resource_guard(capsys, monkeypatch):
+    monkeypatch.delenv("SPECTRAL_MAX_N", raising=False)  # default guard: 10
+    code, out, err = run(capsys, "exhaustive-check", "--n", "12")
+    assert code == 1
+    assert "resource guard" in err
+    assert out == ""
+
+
+def test_exhaustive_check_within_guard(capsys):
+    code, out, _ = run(capsys, "exhaustive-check", "--n", "12", "--max-n", "12", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified_trees"] == 3
+    assert payload["all_ok"] is True
+
+
 def test_max_n_env_mirror(capsys, monkeypatch):
     monkeypatch.setenv("SPECTRAL_MAX_N", "4")
     code, _, err = run(capsys, "search-mates", "dataset:remark1-a", "--pool-n", "6")

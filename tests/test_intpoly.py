@@ -1,5 +1,6 @@
 """Polynomial algebra: resultants, discriminants, irreducibility, factorization."""
 
+import math
 import random
 
 import pytest
@@ -282,6 +283,36 @@ def test_factor_nonmonic():
     for g, m in factors:
         recon = recon * g**m
     assert recon == f
+
+
+def test_factor_returns_planted_factors():
+    """Seeded oracle: products of 2-4 known irreducible factors, some with
+    lc > 1.  They split mod p, so Hensel lifting and recombination run."""
+    rng = random.Random(2718)
+
+    def linear():
+        while True:
+            a, b = rng.randint(1, 4), rng.randint(-9, 9)
+            if math.gcd(a, b) == 1:
+                return IntPolynomial([b, a])
+
+    def quadratic():
+        # irreducible over Z: primitive, with a discriminant that is no square
+        while True:
+            a, b, c = rng.randint(1, 3), rng.randint(-9, 9), rng.randint(-9, 9)
+            d = b * b - 4 * a * c
+            if math.gcd(a, b, c) == 1 and (d < 0 or math.isqrt(d) ** 2 != d):
+                return IntPolynomial([c, b, a])
+
+    for _ in range(200):
+        planted = [rng.choice((linear, quadratic))() for _ in range(rng.randint(2, 4))]
+        f = IntPolynomial.one()
+        for g in planted:
+            f = f * g
+        content, factors = factor(f)
+        assert content == 1
+        got = sorted(g.coeffs for g, mult in factors for _ in range(mult))
+        assert got == sorted(g.coeffs for g in planted), f
 
 
 def test_poly_text_format_roundtrip():
