@@ -9,7 +9,7 @@ number-field eigenvector verification, and desk-scale exhaustive search.
 
 from .certify import DgsCertificate, certify_from_charpoly, certify_tree
 from .intpoly import IntPolynomial, discriminant, is_irreducible, resultant
-from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, rat_inverse
+from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det
 from .sgraph import SignedGraph, are_isomorphic, bipartition, is_balanced, switch
 from .spectra import (
     classify_q,
@@ -41,7 +41,6 @@ __all__ = [
     "is_balanced",
     "is_controllable",
     "is_irreducible",
-    "rat_inverse",
     "recover_q",
     "resultant",
     "switch",

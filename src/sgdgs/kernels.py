@@ -1,6 +1,7 @@
-"""Exact integer kernels: characteristic polynomial and determinant.
+"""Exact integer kernels: characteristic polynomial, and determinant and
+linear solve by one fraction-free elimination.
 
-Both operate on plain ``list[list[int]]`` row data and Python big ints, and
+All operate on plain ``list[list[int]]`` row data and Python big ints, and
 every intermediate value is exact.  ``charpoly_coeffs`` chooses its
 algorithm from the input: a matching-polynomial DP for symmetric,
 zero-diagonal matrices whose graph is a forest (every tree adjacency, signed
@@ -8,6 +9,8 @@ or weighted), division-free Berkowitz for everything else.
 """
 
 from __future__ import annotations
+
+from .errors import InternalInvariantError
 
 
 def backend() -> str:
@@ -143,15 +146,31 @@ def _berkowitz(rows: list[list[int]]) -> list[int]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+    """Exact determinant of an integer matrix: ``bareiss`` with no right-hand side."""
+    return bareiss(rows)[0]
 
-    Bareiss two-step scheme: every division by the previous pivot is exact,
-    so entries remain integers throughout.
+
+def bareiss(
+    rows: list[list[int]], rhs: list[list[int]] | None = None
+) -> tuple[int, list[list[int]] | None]:
+    """Fraction-free elimination of M = rows, carrying the columns of R = rhs.
+
+    Returns (d, X) with d = det M and M X = d R, so X = adj(M) R is an
+    integer matrix with one column per column of R (none without R), or
+    None when d = 0.
+
+    Bareiss two-step scheme (Math. Comp. 22, 1968): every division by the
+    previous pivot is exact, so entries remain integers throughout.  The
+    eliminated rows are rational combinations of the rows of [M | R], so
+    the triangular system U X = d R' they leave has the integer solution
+    X, and every division of the back-substitution is exact as well.
     """
     n = len(rows)
     if n == 0:
-        return 1
-    a = [list(row) for row in rows]
+        return 1, []
+    width = len(rhs[0]) if rhs else 0
+    total = n + width
+    a = [list(row) + (list(rhs[i]) if rhs else []) for i, row in enumerate(rows)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -162,14 +181,30 @@ def det_int(rows: list[list[int]]) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, None
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            row_k = a[k]
             aik = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, total):
                 row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    d = sign * a[n - 1][n - 1]
+    if d == 0:
+        return 0, None
+    x = [[0] * width for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        pivot = row[i]
+        for c in range(width):
+            acc = d * row[n + c]
+            for j in range(i + 1, n):
+                if row[j]:
+                    acc -= row[j] * x[j][c]
+            q, r = divmod(acc, pivot)
+            if r:
+                raise InternalInvariantError("inexact division in Bareiss back-substitution")
+            x[i][c] = q
+    return d, x

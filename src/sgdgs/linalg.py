@@ -231,34 +231,19 @@ def complement_matrix(m: IntMatrix) -> IntMatrix:
     )
 
 
-def rat_inverse(m: RatMatrix) -> RatMatrix:
-    """Exact inverse by Gauss-Jordan elimination; raises when singular."""
-    _require_square(m, "rat_inverse")
-    n = m.rows
-    a = [list(row) for row in m.data]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMatrixError()
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        if pivot != 1:
-            a[col] = [x / pivot for x in a[col]]
-            inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return RatMatrix(inv)
+def solve(m: IntMatrix, r: IntMatrix) -> tuple[int, IntMatrix]:
+    """(d, X) with d = det M and M X = d R, all in integers (fraction-free
+    Bareiss, see kernels.bareiss); raises SingularMatrixError when d = 0.
+
+    X = adj(M) R, so X / d is the exact rational solution M^-1 R.
+    """
+    _require_square(m, "solve")
+    if r.rows != m.rows:
+        raise DimensionError(f"cannot solve {m.shape()} against {r.shape()}")
+    d, x = kernels.bareiss(m.to_lists(), r.to_lists())
+    if x is None:
+        raise SingularMatrixError()
+    return d, IntMatrix(x)
 
 
 # -- matrix text format ---------------------------------------------------------

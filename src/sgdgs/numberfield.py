@@ -7,6 +7,7 @@ eigenvalue, i.e. they are polynomial residues with rational coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -224,41 +225,51 @@ class SymbolicEigenvector:
         return [e.coeffs for e in self.entries]
 
 
-def _kernel_vector(rows: list[list[NumberFieldElement]], field: NumberField):
-    """A nonzero kernel vector of a singular square matrix over the field."""
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if not mat[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and not mat[i][c].is_zero():
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivot_of_col[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivot_of_col]
-    if not free:
-        return None
-    c0 = free[0]
-    x = [field.zero()] * n
-    x[c0] = field.one()
-    for c, piv in pivot_of_col.items():
-        x[c] = -mat[piv][c0]
-    return x
+def _z_reduce(a: list[int], phi: list[int]) -> list[int]:
+    """a modulo the monic phi (ascending integer coefficients), padded to
+    exactly deg(phi) coefficients."""
+    n = len(phi) - 1
+    r = list(a) + [0] * (n - len(a))
+    for k in range(len(r) - 1, n - 1, -1):
+        top = r[k]
+        if top:
+            for j in range(n):
+                r[k - n + j] -= top * phi[j]
+    return r[:n]
+
+
+def _z_norm(vectors: list[list[int]], phi: list[int]) -> list[int]:
+    """sum_i v_i^2 modulo the monic phi, each v_i of degree < deg(phi)."""
+    out = [0] * (2 * len(phi) - 3)
+    for v in vectors:
+        for i, x in enumerate(v):
+            if x:
+                for j, y in enumerate(v):
+                    out[i + j] += x * y
+    return _z_reduce(out, phi)
 
 
 def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> SymbolicEigenvector:
     """Solve (alpha*I - A) xi = 0 over Q[x]/(phi), phi = charpoly(A) irreducible.
 
-    The solution is scaled so its first nonzero entry is 1 and verified
-    componentwise before returning.
+    xi is first found as column 1 of adj(alpha I - A).  With phi = sum_k
+    c_k x^k, Cayley-Hamilton gives adj(xI - A) = sum_(j<n) x^j sum_(i<n-j)
+    c_(i+j+1) A^i, so the column is sum_j alpha^j sum_i c_(i+j+1) A^i e_1:
+    every entry is an integer polynomial of degree < n in alpha, and
+    (alpha I - A) times the column is phi(alpha) e_1 = 0.  A xi = alpha xi
+    is checked in Z[x]/(phi) before anything else.
+
+    The column is never zero.  phi is irreducible, so alpha is a simple
+    eigenvalue and alpha I - A has rank n - 1; its adjugate is symmetric,
+    of rank 1, with every row and column in the kernel, so it is
+    c v v^T for an eigenvector v and some c != 0, and its first column is
+    c v_1 v.  If v_1 were 0, then for every embedding sigma of Q(alpha),
+    sigma(v) would be an eigenvector for sigma(alpha) with first entry 0.
+    The n conjugates of alpha are distinct, so these n eigenvectors form
+    a basis of C^n on which the first coordinate vanishes: absurd.
+
+    The kernel is one-dimensional, so scaling by one field inverse to make
+    the first nonzero entry 1 gives the unique normalized eigenvector.
     """
     if not a.is_square:
         raise PreconditionError("symbolic eigenvector requires a square matrix")
@@ -270,26 +281,29 @@ def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> S
     elif phi != actual:
         raise PreconditionError("phi is not the characteristic polynomial of A")
     field = NumberField(phi)  # verifies irreducibility
-    alpha = field.generator()
     n = a.rows
-    rows = [
-        [alpha - a.data[i][j] if i == j else field.element([-a.data[i][j]]) for j in range(n)]
-        for i in range(n)
+    c = list(phi.coeffs)
+    powers = [[int(i == 0) for i in range(n)]]  # A^i e_1
+    for _ in range(n - 1):
+        y = powers[-1]
+        powers.append([sum(x * y[j] for j, x in enumerate(row) if x) for row in a.data])
+    column = [
+        [sum(c[i + j + 1] * powers[i][r] for i in range(n - j)) for j in range(n)]
+        for r in range(n)
     ]
-    xi = _kernel_vector(rows, field)
-    if xi is None:  # pragma: no cover - alpha is always an eigenvalue
-        raise InternalInvariantError("(alpha I - A) is invertible over the field")
-    first = next(e for e in xi if not e.is_zero())
-    inv = first.inverse()
-    xi = [e * inv for e in xi]
-    for i in range(n):
-        acc = field.zero()
-        for j in range(n):
-            if a.data[i][j]:
-                acc = acc + xi[j] * a.data[i][j]
-        if acc != alpha * xi[i]:  # pragma: no cover - defensive
+    if not any(any(v) for v in column):
+        raise InternalInvariantError("adjugate column of (alpha I - A) is zero")
+    for i, row in enumerate(a.data):
+        lhs = [0] * n
+        for j, x in enumerate(row):
+            if x:
+                for k in range(n):
+                    lhs[k] += x * column[j][k]
+        if lhs != _z_reduce([0] + column[i], c):
             raise InternalInvariantError("eigenvector verification failed")
-    return SymbolicEigenvector(field=field, entries=tuple(xi))
+    xi = [field.element(v) for v in column]
+    inv = next(e for e in xi if not e.is_zero()).inverse()
+    return SymbolicEigenvector(field=field, entries=tuple(e * inv for e in xi))
 
 
 # -- bipartite eigen-structure verification -----------------------------------------
@@ -355,20 +369,17 @@ def verify_bipartite_eigen_properties(g: SignedGraph) -> BipartiteEigenReport:
     if irreducible:
         eig = symbolic_eigenvector(gram_left, phi_left)
         eig_ok = True  # verified inside symbolic_eigenvector
-        field = eig.field
-        alpha = field.generator()
-        u = list(eig.entries)
+        # w^T w = alpha u^T u is homogeneous in u, so it is checked in
+        # Z[x]/(phi) on u scaled by the lcm of its coefficient denominators
+        scale = math.lcm(*(x.denominator for e in eig.entries for x in e.coeffs))
+        u = [[int(x * scale) for x in e.coeffs] for e in eig.entries]
         half = len(u)
-        w = []
-        for j in range(half):
-            acc = field.zero()
-            for i in range(half):
-                if m.data[i][j]:
-                    acc = acc + u[i] * m.data[i][j]
-            w.append(acc)
-        uu = sum((x * x for x in u), field.zero())
-        ww = sum((x * x for x in w), field.zero())
-        length_ok = ww == alpha * uu
+        mod = list(phi_left.coeffs)
+        w = [
+            [sum(m.data[i][j] * u[i][k] for i in range(half)) for k in range(half)]
+            for j in range(half)
+        ]
+        length_ok = _z_norm(w, mod) == _z_reduce([0] + _z_norm(u, mod), mod)
     return BipartiteEigenReport(
         failures=(),
         gram_charpolys_equal=charpolys_equal,

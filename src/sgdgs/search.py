@@ -26,6 +26,7 @@ from .sgraph import (
     is_tree,
     part_sorted_adjacency,
     tree_canonical_form,
+    walk_key,
 )
 from .spectra import (
     QClassification,
@@ -174,34 +175,6 @@ def _recover_and_classify(g: SignedGraph, h: SignedGraph):
     return recovery, classify_q(recovery.q, split=split)
 
 
-def _walk_key(g: SignedGraph) -> tuple[int, ...]:
-    """Walk counts (w_0, ..., w_(n-1)) with w_k = e^T A^k e.
-
-    Among graphs with equal adjacency charpoly phi_A, equal walk keys is
-    equivalent to equal complement charpolys, so (phi_A, walk key) buckets
-    exactly as the generalized spectrum does.  Proof: with y = -x - 1,
-    xI - (J - I - A) = -[(yI - A) + e e^T], so by the matrix determinant
-    lemma and the Neumann series of (yI - A)^-1 in 1/y,
-
-        phi_(J-I-A)(x) = (-1)^n phi_A(y) (1 + sum_(k>=0) w_k y^(-k-1)).
-
-    Given phi_A, the complement charpoly therefore fixes every w_k (the
-    Laurent expansion at y = infinity is unique) and every w_k fixes it.
-    By Cayley-Hamilton, phi_A(A) = 0, so with phi_A = sum_j c_j x^j and
-    c_n = 1, w_(k+n) = -sum_(j<n) c_j w_(k+j): the w_k with k < n fix all
-    others.  (This is the walk-matrix framework of Wang & Xu, Europ. J.
-    Combin. 2006.)
-    """
-    adj = g.neighbor_lists()
-    v = [1] * (g.n + 1)
-    v[0] = 0
-    key = [g.n]
-    for _ in range(g.n - 1):
-        v = [0] + [sum(s * v[u] for u, s in adj[i]) for i in range(1, g.n + 1)]
-        key.append(sum(v))
-    return tuple(key)
-
-
 def find_gc_mates(
     query: SignedGraph,
     pool: Iterable[SignedGraph],
@@ -210,14 +183,14 @@ def find_gc_mates(
     """Generalized-cospectral, non-isomorphic members of the pool.
 
     The pool is streamed.  Candidates are filtered by adjacency charpoly
-    first and by walk key (see _walk_key) only on survivors.  Every
+    first and by walk key (see sgraph.walk_key) only on survivors.  Every
     signing of a tree is switching-similar to the tree, so a tree's charpoly
     is computed once per unsigned edge set; any other pool member gets its
     own.  Q is recovered and classified for each mate whenever both sides
     are controllable.
     """
     phi = charpoly(query.adjacency())
-    key = _walk_key(query)
+    key = walk_key(query)
     tree_phi: dict[tuple, IntPolynomial] = {}  # unsigned edge set -> charpoly
     scanned = 0
     mates = []
@@ -231,7 +204,7 @@ def find_gc_mates(
             poly = charpoly(candidate.adjacency())
             if is_tree(candidate):
                 tree_phi[shape] = poly
-        if poly != phi or _walk_key(candidate) != key:
+        if poly != phi or walk_key(candidate) != key:
             continue
         if are_isomorphic(query, candidate) is not None:
             continue
@@ -332,7 +305,7 @@ def exhaustive_dgs_check(
     signings of a tree share its adjacency charpoly, so nothing else can
     be generalized cospectral with a signing of it); their signings are
     bucketed by walk key, which on a common charpoly is equivalent to the
-    complement charpoly (see _walk_key), and every bucket must consist of
+    complement charpoly (see sgraph.walk_key), and every bucket must consist of
     pairwise-isomorphic signed trees.
     """
     cert = certify_tree(tree)
@@ -346,7 +319,7 @@ def exhaustive_dgs_check(
     signings = 0
     for t in candidates:
         for g in enumerate_signings(t):
-            groups.setdefault(_walk_key(g), []).append(g)
+            groups.setdefault(walk_key(g), []).append(g)
             signings += 1
     ok, counterexamples = _check_spectrum_groups(groups)
     records = tuple(_structure_records(groups)) if structure_records else ()

@@ -191,6 +191,37 @@ def part_sorted_adjacency(g: SignedGraph, b: Optional[Bipartition] = None) -> In
     return from_bipartite_adjacency(bipartite_adjacency(g, b)).adjacency()
 
 
+# -- walk counts ------------------------------------------------------------------
+
+
+def walk_key(g: SignedGraph) -> tuple[int, ...]:
+    """Walk counts (w_0, ..., w_(n-1)) with w_k = e^T A^k e.
+
+    Among graphs with equal adjacency charpoly phi_A, equal walk keys is
+    equivalent to equal complement charpolys, so (phi_A, walk key) buckets
+    exactly as the generalized spectrum does.  Proof: with y = -x - 1,
+    xI - (J - I - A) = -[(yI - A) + e e^T], so by the matrix determinant
+    lemma and the Neumann series of (yI - A)^-1 in 1/y,
+
+        phi_(J-I-A)(x) = (-1)^n phi_A(y) (1 + sum_(k>=0) w_k y^(-k-1)).
+
+    Given phi_A, the complement charpoly therefore fixes every w_k (the
+    Laurent expansion at y = infinity is unique) and every w_k fixes it.
+    By Cayley-Hamilton, phi_A(A) = 0, so with phi_A = sum_j c_j x^j and
+    c_n = 1, w_(k+n) = -sum_(j<n) c_j w_(k+j): the w_k with k < n fix all
+    others.  (This is the walk-matrix framework of Wang & Xu, Europ. J.
+    Combin. 2006.)
+    """
+    adj = g.neighbor_lists()
+    v = [1] * (g.n + 1)
+    v[0] = 0
+    key = [g.n]
+    for _ in range(g.n - 1):
+        v = [0] + [sum(s * v[u] for u, s in adj[i]) for i in range(1, g.n + 1)]
+        key.append(sum(v))
+    return tuple(key)
+
+
 # -- switching and balance ------------------------------------------------------
 
 

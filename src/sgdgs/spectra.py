@@ -7,12 +7,13 @@ Everything here is exact; there are no epsilon comparisons anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
-from .errors import NotBipartiteError, PreconditionError
+from .errors import NotBipartiteError, PreconditionError, SingularMatrixError
 from .intpoly import IntPolynomial, is_irreducible
-from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, rat_inverse
-from .sgraph import SignedGraph, bipartition, part_sorted_adjacency
+from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, solve
+from .sgraph import SignedGraph, bipartition, part_sorted_adjacency, walk_key
 
 
 def walk_matrix(a: IntMatrix) -> IntMatrix:
@@ -78,21 +79,32 @@ class QRecovery:
 
 
 def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
-    """Recover the candidate conjugator between controllable A and B."""
+    """Recover the candidate conjugator between controllable A and B.
+
+    Q W_B = W_A, so the fraction-free solve of W_B^T (dQ)^T = d W_A^T gives
+    dQ = d Q as an integer matrix, d = det W_B.  The flags are checked on
+    dQ in integers, each scaled by d or d^2: (dQ)^T (dQ) = d^2 I, every row
+    of dQ sums to d, and (dQ)^T A (dQ) = d^2 B.  Fractions are built only
+    for QRecovery.q.
+    """
     if a.shape() != b.shape() or not a.is_square:
         raise PreconditionError("recover_q requires square matrices of equal size")
     wa = walk_matrix(a)
     wb = walk_matrix(b)
     if det(wa) == 0:
         raise PreconditionError("first matrix is not controllable (det W = 0)")
-    if det(wb) == 0:
-        raise PreconditionError("second matrix is not controllable (det W = 0)")
-    q = wa.to_rational() @ rat_inverse(wb.to_rational())
+    try:
+        d, dq_t = solve(wb.T, wa.T)
+    except SingularMatrixError:
+        raise PreconditionError("second matrix is not controllable (det W = 0)") from None
+    dq = dq_t.T
     n = a.rows
-    identity = RatMatrix.identity(n)
-    orthogonal = (q.T @ q) == identity
-    regular = all(sum(q.data[i]) == 1 for i in range(n))
-    conjugates = (q.T @ a.to_rational() @ q) == b.to_rational()
+    d2 = d * d
+    scaled_identity = IntMatrix([[d2 if i == j else 0 for j in range(n)] for i in range(n)])
+    orthogonal = dq_t @ dq == scaled_identity
+    regular = all(sum(row) == d for row in dq.data)
+    conjugates = dq_t @ a @ dq == IntMatrix([[d2 * x for x in row] for row in b.data])
+    q = RatMatrix([[Fraction(x, d) for x in row] for row in dq.data])
     return QRecovery(q=q, orthogonal=orthogonal, regular=regular, conjugates=conjugates)
 
 
@@ -256,7 +268,9 @@ def verify_structure_theorem(g: SignedGraph, h: SignedGraph) -> StructureReport:
         failures.append("characteristic polynomials differ")
     elif not is_irreducible(phi_a).irreducible:
         failures.append("characteristic polynomial is reducible")
-    if phi_a == phi_b and charpoly(complement_matrix(a_blk)) != charpoly(complement_matrix(b_blk)):
+    # on equal phi, equal walk keys is equivalent to equal complement
+    # charpolys (see sgraph.walk_key); relabeling leaves both unchanged
+    if phi_a == phi_b and walk_key(g) != walk_key(h):
         failures.append("not generalized cospectral (complement spectra differ)")
     split = g.n // 2
     try:

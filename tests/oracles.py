@@ -3,7 +3,10 @@
 Everything here is deliberately self-contained (own polynomial and
 determinant arithmetic) so a bug in the package cannot hide inside its
 own checker.  Intended scales are tiny: degree <= 6 polynomials, n <= 7
-matrices/graphs, Pruefer enumeration up to n = 8.
+matrices/graphs, Pruefer enumeration up to n = 8.  The Fraction
+Gauss-Jordan definitions of Q = W_A W_B^-1 and of the number-field
+eigenvector are the exception: they are what the integer paths replaced,
+and run up to n = 18.
 """
 
 from __future__ import annotations
@@ -123,6 +126,157 @@ def poly_from_roots(roots):
     for r in roots:
         out = p_mul(out, [-r, 1])
     return out
+
+
+# -- Fraction Gauss-Jordan: the conjugator Q and the symbolic eigenvector -------
+
+
+def fraction_inverse(rows):
+    """Exact inverse by Gauss-Jordan elimination over Fractions; None when
+    the matrix is singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+def mat_mul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def transpose(x):
+    return [list(col) for col in zip(*x)]
+
+
+def walk_matrix_rows(rows):
+    """[e, Ae, ..., A^(n-1) e] as row lists."""
+    v = [1] * len(rows)
+    cols = [v]
+    for _ in range(len(rows) - 1):
+        v = [sum(a * b for a, b in zip(row, v)) for row in rows]
+        cols.append(v)
+    return transpose(cols)
+
+
+def walk_conjugator(a, b):
+    """(Q, orthogonal, regular, conjugates) for Q = W_A W_B^-1 over the
+    rationals, or None when W_B is singular."""
+    wb_inv = fraction_inverse(walk_matrix_rows(b))
+    if wb_inv is None:
+        return None
+    q = mat_mul(walk_matrix_rows(a), wb_inv)
+    n = len(a)
+    qt = transpose(q)
+    orthogonal = mat_mul(qt, q) == [[int(i == j) for j in range(n)] for i in range(n)]
+    regular = all(sum(row) == 1 for row in q)
+    conjugates = mat_mul(mat_mul(qt, a), q) == [list(row) for row in b]
+    return q, orthogonal, regular, conjugates
+
+
+def _field_rem(a, phi):
+    """a mod the monic phi (ascending), padded to deg phi Fractions."""
+    d = len(phi) - 1
+    r = [Fraction(x) for x in a] + [Fraction(0)] * max(0, d - len(a))
+    for k in range(len(r) - 1, d - 1, -1):
+        top = r[k]
+        for j in range(d + 1):
+            r[k - d + j] -= top * phi[j]
+    return r[:d]
+
+
+def _field_mul(a, b, phi):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _field_rem(out, phi)
+
+
+def _field_inverse(a, phi):
+    """a^-1 in Q[x]/(phi): solve (multiplication by a) z = 1."""
+    d = len(phi) - 1
+    basis = [[int(i == k) for i in range(d)] for k in range(d)]
+    columns = [_field_mul(a, e, phi) for e in basis]
+    inv = fraction_inverse(transpose(columns))
+    return [row[0] for row in inv]
+
+
+def kernel_eigenvector(rows, phi):
+    """Eigenvector of the integer matrix A for alpha in Q[x]/(phi), phi =
+    charpoly(A) monic irreducible (ascending ints): a kernel vector of
+    alpha I - A by Gauss-Jordan over the field, scaled so that its first
+    nonzero entry is 1.  Entries are coefficient lists of length deg phi."""
+    n = len(rows)
+    d = len(phi) - 1
+    alpha = _field_rem([0, 1], phi)
+    mat = [
+        [
+            [x - (rows[i][j] if k == 0 else 0) for k, x in enumerate(alpha)]
+            if i == j
+            else _field_rem([-rows[i][j]], phi)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    pivot_of_col = {}
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if any(mat[i][c])), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = _field_inverse(mat[r][c], phi)
+        mat[r] = [_field_mul(x, inv, phi) for x in mat[r]]
+        for i in range(n):
+            if i != r and any(mat[i][c]):
+                f = mat[i][c]
+                mat[i] = [
+                    [p - q for p, q in zip(x, _field_mul(f, y, phi))]
+                    for x, y in zip(mat[i], mat[r])
+                ]
+        pivot_of_col[c] = r
+        r += 1
+    free = [c for c in range(n) if c not in pivot_of_col]
+    assert free, "alpha I - A is invertible over the field"
+    c0 = free[0]
+    xi = [[Fraction(0)] * d for _ in range(n)]
+    xi[c0] = _field_rem([1], phi)
+    for c, piv in pivot_of_col.items():
+        xi[c] = [-x for x in mat[piv][c0]]
+    inv = _field_inverse(next(e for e in xi if any(e)), phi)
+    return [_field_mul(e, inv, phi) for e in xi]
+
+
+def field_length_equality(m, u, phi):
+    """w^T w == alpha u^T u in Q[x]/(phi) for w = M^T u, u a vector of
+    coefficient lists."""
+    zero = [Fraction(0)] * (len(phi) - 1)
+
+    def dot(x, y):
+        acc = zero
+        for p, q in zip(x, y):
+            acc = [s + t for s, t in zip(acc, _field_mul(p, q, phi))]
+        return acc
+
+    w = [
+        [sum(row[j] * x for row, x in zip(m, col)) for col in zip(*u)]
+        for j in range(len(m[0]))
+    ]
+    return dot(w, w) == _field_mul(_field_rem([0, 1], phi), dot(u, u), phi)
 
 
 # -- brute-force irreducibility (monic, degree <= 6, small height) ----------------

@@ -1,6 +1,7 @@
 """Exact matrix arithmetic: spec examples, invariants, format round-trips."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,14 +16,14 @@ from sgdgs.linalg import (
     det,
     format_matrix,
     parse_matrix,
-    rat_inverse,
+    solve,
 )
 from sgdgs.datasets import REMARK1_CHARPOLY, remark1_pair
 from sgdgs.search import enumerate_trees
 from sgdgs.sgraph import SignedGraph, permutation_matrix
 from sgdgs.spectra import walk_matrix
 
-from oracles import cofactor_charpoly, fraction_det
+from oracles import cofactor_charpoly, fraction_det, fraction_inverse, mat_mul
 
 
 def path_graph(n, sign=1):
@@ -85,41 +86,67 @@ def test_charpoly_conjugation_and_trace_invariants():
         assert charpoly(m).coefficient(n - 1) == -trace
 
 
-def test_rat_inverse_examples():
-    i3 = RatMatrix.identity(3)
-    assert rat_inverse(i3) == i3
-    half = rat_inverse(RatMatrix([[2, 0], [0, 4]]))
-    assert half == parse_matrix("2 2\n1/2 0\n0 1/4")
+def _scaled(m, c):
+    return IntMatrix([[c * x for x in row] for row in m.data])
+
+
+def test_solve_examples():
+    i3 = IntMatrix.identity(3)
+    assert solve(i3, i3) == (1, i3)
+    d, x = solve(IntMatrix([[2, 0], [0, 4]]), IntMatrix.identity(2))
+    assert d == 8
+    assert RatMatrix([[Fraction(v, d) for v in row] for row in x.data]) == parse_matrix(
+        "2 2\n1/2 0\n0 1/4"
+    )
     g, _ = remark1_pair()
-    w = walk_matrix(g.adjacency()).to_rational()
-    assert w @ rat_inverse(w) == RatMatrix.identity(18)
+    w = walk_matrix(g.adjacency())
+    d, x = solve(w, IntMatrix.identity(18))
+    assert d == det(w)
+    assert w @ x == _scaled(IntMatrix.identity(18), d)
 
 
-def test_rat_inverse_singular():
+def test_solve_singular():
     with pytest.raises(SingularMatrixError) as info:
-        rat_inverse(RatMatrix([[1, 1], [1, 1]]))
+        solve(IntMatrix([[1, 1], [1, 1]]), IntMatrix.identity(2))
     assert info.value.determinant == 0
 
 
-def test_rat_inverse_involution():
+def test_solve_involution():
+    """(M^-1)^-1 = M: with X = adj M = d M^-1, solving X Y = e d I gives
+    Y = e M, and e = det adj M = d^(n-1)."""
     rng = random.Random(505)
-    from fractions import Fraction
-
     done = 0
     while done < 15:
         n = rng.randint(1, 6)
-        m = RatMatrix(
-            [
-                [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
+        m = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         try:
-            inv = rat_inverse(m)
+            d, x = solve(m, IntMatrix.identity(n))
         except SingularMatrixError:
             continue
-        assert rat_inverse(inv) == m
+        e, y = solve(x, _scaled(IntMatrix.identity(n), d))
+        assert e == d ** (n - 1)
+        assert y == _scaled(m, e)
         done += 1
+
+
+def test_solve_against_fraction_gauss_jordan_oracle():
+    rng = random.Random(606)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        rhs = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        inverse = fraction_inverse(rows)
+        if inverse is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                solve(IntMatrix(rows), IntMatrix(rhs))
+            continue
+        d, x = solve(IntMatrix(rows), IntMatrix(rhs))
+        assert d == fraction_det(rows)
+        assert [[Fraction(v, d) for v in row] for row in x.data] == mat_mul(inverse, rhs)
+    assert singular > 0
 
 
 def test_complement_matrix_examples():

@@ -8,7 +8,8 @@ import pytest
 from sgdgs.datasets import remark1_matrices, remark1_pair
 from sgdgs.errors import FieldMismatchError, PreconditionError
 from sgdgs.intpoly import IntPolynomial
-from sgdgs.linalg import IntMatrix, RatMatrix, charpoly, rat_inverse
+from sgdgs.intpoly import is_irreducible
+from sgdgs.linalg import IntMatrix, charpoly, solve
 from sgdgs.numberfield import (
     NumberField,
     symbolic_eigenvector,
@@ -16,6 +17,8 @@ from sgdgs.numberfield import (
 )
 from sgdgs.sgraph import SignedGraph
 from sgdgs.spectra import are_generalized_cospectral
+
+from oracles import kernel_eigenvector
 
 GOLDEN = NumberField(IntPolynomial([-1, -1, 1]))  # Q[x]/(x^2 - x - 1)
 
@@ -153,22 +156,46 @@ def test_verify_bipartite_eigen_properties_examples():
 
 def test_resolvent_identity_for_cospectral_pair():
     """e^T (xI - A)^-1 e agrees for generalized cospectral matrices at
-    rational points that are not eigenvalues (float-free resolvent check)."""
+    rational points that are not eigenvalues (float-free resolvent check).
+    At lambda = p/q it is q e^T (pI - qA)^-1 e, solved in integers."""
     g, h = remark1_pair()
     a, b = g.adjacency(), h.adjacency()
     assert are_generalized_cospectral(a, b)
     rng = random.Random(32)
+    n = a.rows
+    ones = IntMatrix.ones_column(n)
     tested = 0
     while tested < 5:
-        lam = Fraction(rng.randint(3, 50), rng.randint(1, 7))
+        p, q = rng.randint(3, 50), rng.randint(1, 7)
         vals = []
         for mat in (a, b):
-            n = mat.rows
-            shifted = [
-                [lam * (1 if i == j else 0) - mat[i, j] for j in range(n)]
-                for i in range(n)
-            ]
-            inverse = rat_inverse(RatMatrix(shifted))
-            vals.append(sum(inverse[i, j] for i in range(n) for j in range(n)))
+            shifted = IntMatrix(
+                [[p * (i == j) - q * mat[i, j] for j in range(n)] for i in range(n)]
+            )
+            d, x = solve(shifted, ones)
+            vals.append(Fraction(q * sum(x[i, 0] for i in range(n)), d))
         assert vals[0] == vals[1]
         tested += 1
+
+
+def test_symbolic_eigenvector_matches_kernel_oracle():
+    """The adjugate-column eigenvector, normalized, equals the Gauss-Jordan
+    kernel vector over the field on seeded symmetric integer matrices with
+    irreducible charpoly and on remark1's Gram matrix."""
+    rng = random.Random(33)
+    mats = []
+    while len(mats) < 25:
+        n = rng.randint(1, 6)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        a = IntMatrix(rows)
+        if is_irreducible(charpoly(a)).irreducible:
+            mats.append(a)
+    m, _ = remark1_matrices()
+    mats.append(m @ m.T)
+    for a in mats:
+        eig = symbolic_eigenvector(a)
+        expected = kernel_eigenvector(a.to_lists(), list(charpoly(a).coeffs))
+        assert [list(e.coeffs) for e in eig.entries] == expected

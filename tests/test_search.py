@@ -12,7 +12,6 @@ from sgdgs.linalg import charpoly, complement_matrix
 from sgdgs.search import (
     FREE_TREE_COUNTS,
     _check_spectrum_groups,
-    _walk_key,
     all_signed_trees,
     decode_pruefer,
     enumerate_signings,
@@ -22,7 +21,14 @@ from sgdgs.search import (
     find_trees_with_charpoly,
     random_tree,
 )
-from sgdgs.sgraph import SignedGraph, are_isomorphic, is_balanced, is_tree, tree_canonical_form
+from sgdgs.sgraph import (
+    SignedGraph,
+    are_isomorphic,
+    is_balanced,
+    is_tree,
+    tree_canonical_form,
+    walk_key,
+)
 from sgdgs.spectra import are_generalized_cospectral
 
 from oracles import prufer_free_tree_count
@@ -181,7 +187,7 @@ def test_walk_key_buckets_match_complement_charpoly_buckets():
     for n in range(1, 10):
         signings = list(all_signed_trees(n))
         phis = [charpoly(g.adjacency()) for g in signings]
-        by_walk = _classes([(phi, _walk_key(g)) for phi, g in zip(phis, signings)])
+        by_walk = _classes([(phi, walk_key(g)) for phi, g in zip(phis, signings)])
         by_complement = _classes(
             [(phi, charpoly(complement_matrix(g.adjacency()))) for phi, g in zip(phis, signings)]
         )

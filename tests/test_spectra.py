@@ -15,7 +15,15 @@ from sgdgs.datasets import (
 from sgdgs.errors import PreconditionError
 from sgdgs.intpoly import discriminant, is_irreducible
 from sgdgs.linalg import IntMatrix, RatMatrix, charpoly
-from sgdgs.sgraph import SignedGraph, permutation_matrix
+from sgdgs.numberfield import symbolic_eigenvector, verify_bipartite_eigen_properties
+from sgdgs.search import enumerate_signings, random_signing, random_tree
+from sgdgs.sgraph import (
+    SignedGraph,
+    bipartite_adjacency,
+    bipartition,
+    part_sorted_adjacency,
+    permutation_matrix,
+)
 from sgdgs.spectra import (
     are_generalized_cospectral,
     classify_q,
@@ -27,7 +35,7 @@ from sgdgs.spectra import (
     walk_matrix,
 )
 
-from oracles import cofactor_charpoly
+from oracles import cofactor_charpoly, field_length_equality, kernel_eigenvector, walk_conjugator
 
 
 def path_graph(n):
@@ -144,6 +152,103 @@ def test_recover_q_uniqueness_against_planted():
         p = permutation_matrix(pi).to_rational()
         rec = recover_q(a, (p.T @ a @ p).to_integer())
         assert rec.q == p
+
+
+def _planted_tree_pairs(rng, n, count):
+    """Signed n-vertex trees with irreducible charpoly, each with a random
+    relabeling of itself."""
+    pairs = []
+    while len(pairs) < count:
+        g = random_signing(random_tree(n, rng), rng)
+        if not is_irreducible(charpoly(g.adjacency())).irreducible:
+            continue
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        h = SignedGraph(n, tuple((pi[u - 1], pi[v - 1], s) for u, v, s in g.edges))
+        pairs.append((g, h))
+    return pairs
+
+
+def _assert_matches_walk_conjugator(a, b):
+    rec = recover_q(a, b)
+    q, orthogonal, regular, conjugates = walk_conjugator(a.to_lists(), b.to_lists())
+    assert [list(row) for row in rec.q.data] == q
+    assert (rec.orthogonal, rec.regular, rec.conjugates) == (orthogonal, regular, conjugates)
+    return rec
+
+
+def test_recover_q_matches_fraction_oracle_on_cospectral_pairs():
+    """Integer d*Q recovery against Fraction Gauss-Jordan Q = W_A W_B^-1:
+    remark1, remark2, small planted permutations and planted 18-vertex
+    signed trees, every flag true."""
+    pairs = [
+        tuple(part_sorted_adjacency(g) for g in pair) for pair in (remark1_pair(), remark2_pair())
+    ]
+    rng = random.Random(27)
+    for _ in range(10):
+        n = rng.randint(3, 8)
+        a = random_controllable(rng, n)
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        p = permutation_matrix(pi)
+        pairs.append((a, p.T @ a @ p))
+    pairs += [
+        (g.adjacency(), h.adjacency()) for g, h in _planted_tree_pairs(rng, 18, 4)
+    ]
+    for a, b in pairs:
+        assert _assert_matches_walk_conjugator(a, b).valid
+
+
+def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
+    """Controllable pairs with different charpolys: the flags must read as
+    the Fraction oracle's, and conjugates must be false.  Regular holds for
+    every recovered Q, since both walk matrices start with the column e."""
+    rng = random.Random(28)
+    not_orthogonal = 0
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        a = random_controllable(rng, n)
+        b = random_controllable(rng, n)
+        if charpoly(a) == charpoly(b):
+            continue
+        rec = _assert_matches_walk_conjugator(a, b)
+        assert not rec.conjugates and rec.regular
+        not_orthogonal += not rec.orthogonal
+    assert not_orthogonal > 0
+
+
+def test_eigen_structure_matches_oracles():
+    """remark1 and planted 18-vertex pairs through the structure theorem;
+    the Gram eigenvector equals the Gauss-Jordan kernel vector, and the
+    length equality holds in the oracle's field arithmetic as in the
+    report (remark1's eigenvector has non-integer coefficients)."""
+    rng = random.Random(29)
+    cases = [(remark1_pair(), "BlockDiagonal")]
+    cases += [(pair, "Permutation") for pair in _planted_tree_pairs(rng, 18, 3)]
+    for (g, h), tag in cases:
+        rep = verify_structure_theorem(g, h)
+        assert rep.passed and rep.classification.tag == tag
+        m = bipartite_adjacency(g, bipartition(g))
+        gram = m @ m.T
+        phi = list(charpoly(gram).coeffs)
+        u = kernel_eigenvector(gram.to_lists(), phi)
+        assert [list(e.coeffs) for e in symbolic_eigenvector(gram).entries] == u
+        lemma = verify_bipartite_eigen_properties(g)
+        assert lemma.passed and lemma.length_equality
+        assert field_length_equality(m.to_lists(), u, phi)
+
+
+def test_structure_complement_check_matches_generalized_spectrum_oracle():
+    """verify_structure_theorem reports the complement failure exactly when
+    are_generalized_cospectral is false; all signings of a tree share phi."""
+    tree = SignedGraph(6, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (3, 6, 1)))
+    differ = 0
+    for h in enumerate_signings(tree):
+        rep = verify_structure_theorem(tree, h)
+        flagged = "not generalized cospectral (complement spectra differ)" in rep.failures
+        assert flagged == (not are_generalized_cospectral(tree.adjacency(), h.adjacency()))
+        differ += flagged
+    assert 0 < differ < 32
 
 
 def test_classify_q_examples():
