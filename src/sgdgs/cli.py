@@ -273,13 +273,17 @@ def _cmd_search_mates(args) -> int:
 def _cmd_exhaustive_check(args) -> int:
     n = args.n
     _guard_order(n, args)
+    # one bucketing per certified charpoly class: every tree of a class has
+    # the same candidates, so it reuses the report of the class's first tree
+    reports = {}
     results = []
     for tree in enumerate_trees(n).trees:
         cert = certify_tree(tree)
         if not cert.certified:
             continue
-        rep = exhaustive_dgs_check(tree)
-        results.append((tree, rep))
+        if cert.charpoly not in reports:
+            reports[cert.charpoly] = exhaustive_dgs_check(tree)
+        results.append((tree, reports[cert.charpoly]))
     payload = {
         "n": n,
         "certified_trees": len(results),

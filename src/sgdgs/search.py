@@ -27,6 +27,7 @@ from .sgraph import (
     part_sorted_adjacency,
     tree_canonical_form,
     walk_key,
+    walk_terms,
 )
 from .spectra import (
     QClassification,
@@ -49,6 +50,7 @@ class TreePool:
 
 
 _POOL_CACHE: dict[int, TreePool] = {}
+_CHARPOLY_CLASSES: dict[int, dict[IntPolynomial, tuple[SignedGraph, ...]]] = {}
 
 
 def enumerate_trees(n: int) -> TreePool:
@@ -79,16 +81,27 @@ def enumerate_signings(tree: SignedGraph) -> Iterator[SignedGraph]:
     """All 2^(n-1) signings of a tree, lazily, in sign-vector order."""
     if tree.m != tree.n - 1:
         raise PreconditionError("signing enumeration requires a tree")
-    edges = tree.edges
-    m = len(edges)
-    for bits in range(1 << m):
-        yield SignedGraph(
-            tree.n,
-            tuple(
-                (u, v, -1 if bits >> i & 1 else 1)
-                for i, (u, v, _) in enumerate(edges)
-            ),
-        )
+    for bits in range(1 << tree.m):
+        yield _signing(tree, bits)
+
+
+def _signing(tree: SignedGraph, bits: int) -> SignedGraph:
+    """The signing of a tree whose edge i is negative iff bit i is set."""
+    return SignedGraph(
+        tree.n,
+        tuple((u, v, -1 if bits >> i & 1 else 1) for i, (u, v, _) in enumerate(tree.edges)),
+    )
+
+
+def charpoly_classes(n: int) -> dict[IntPolynomial, tuple[SignedGraph, ...]]:
+    """The pool of order n grouped by adjacency charpoly, pool order kept;
+    one charpoly per tree, computed once per n."""
+    if n not in _CHARPOLY_CLASSES:
+        classes: dict[IntPolynomial, list[SignedGraph]] = {}
+        for t in enumerate_trees(n).trees:
+            classes.setdefault(charpoly(t.adjacency()), []).append(t)
+        _CHARPOLY_CLASSES[n] = {phi: tuple(ts) for phi, ts in classes.items()}
+    return _CHARPOLY_CLASSES[n]
 
 
 def random_tree(n: int, rng: random.Random) -> SignedGraph:
@@ -295,32 +308,94 @@ def _structure_records(groups: dict) -> list[GcPairRecord]:
     return records
 
 
+def _switching_order(tree: SignedGraph) -> list[tuple[int, int, int]]:
+    """(edge index, parent, child) for every edge of a tree rooted at
+    vertex 1, each parent before its children."""
+    index = {(u, v): i for i, (u, v, _) in enumerate(tree.edges)}
+    adj = tree.neighbor_lists()
+    order = []
+    seen, stack = {1}, [1]
+    while stack:
+        u = stack.pop()
+        for v, _ in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+                order.append((index[min(u, v), max(u, v)], u, v))
+    return order
+
+
+def _switching_vector(g: SignedGraph, order: list[tuple[int, int, int]]) -> list[int]:
+    """x with A_g = D |A| D for D = diag(x): x_1 = 1 and
+    x_child = x_parent * sign(parent, child); slot 0 unused."""
+    x = [0] * (g.n + 1)
+    x[1] = 1
+    for i, parent, child in order:
+        x[child] = x[parent] * g.edges[i][2]
+    return x
+
+
+def _walk_key_groups(candidates: tuple[SignedGraph, ...]) -> tuple[int, dict]:
+    """Bucket every signing of the candidate trees (order n) by walk key.
+
+    Returns the number of buckets and the multi-member buckets as
+    {walk key: signings}, in first-member order with members in stream
+    order: the multi-member part of a dict of full walk keys filled in
+    stream order.  A signing with switching vector x has w_k = x^T |A|^k x,
+    so each is kept as a term generator on its tree's unsigned edges, and
+    a bucket is split one term at a time only while it has several
+    members: a unique partial key means a unique full key.  SignedGraphs
+    are rebuilt only for buckets that still collide after n - 1 terms.
+    """
+    n = candidates[0].n
+    members = []  # (stream index, term generator)
+    for t in candidates:
+        shape, order = t.underlying().edges, _switching_order(t)
+        for g in enumerate_signings(t):
+            members.append((len(members), walk_terms(shape, _switching_vector(g, order))))
+    count = 0
+    colliding = []
+    pending = [((n,), members)]
+    while pending:
+        key, part = pending.pop()
+        if len(part) == 1 or len(key) == n:
+            count += 1
+            if len(part) > 1:
+                colliding.append((key, part))
+            continue
+        split: dict[int, list] = {}
+        for member in part:
+            split.setdefault(next(member[1]), []).append(member)
+        pending.extend((key + (term,), sub) for term, sub in split.items())
+    colliding.sort(key=lambda item: item[1][0][0])
+    mask = (1 << (n - 1)) - 1
+    groups = {
+        key: [_signing(candidates[i >> (n - 1)], i & mask) for i, _ in part]
+        for key, part in colliding
+    }
+    return count, groups
+
+
 def exhaustive_dgs_check(
     tree: SignedGraph,
     structure_records: bool = True,
 ) -> ExhaustiveCheckReport:
     """Confirm a certified tree against every signed tree of its order.
 
-    Candidates are restricted to trees cospectral with the input (all
-    signings of a tree share its adjacency charpoly, so nothing else can
-    be generalized cospectral with a signing of it); their signings are
-    bucketed by walk key, which on a common charpoly is equivalent to the
-    complement charpoly (see sgraph.walk_key), and every bucket must consist of
-    pairwise-isomorphic signed trees.
+    Candidates are the pool trees cospectral with the input (all signings
+    of a tree share its adjacency charpoly, so nothing else can be
+    generalized cospectral with a signing of it), read off
+    charpoly_classes; their signings are bucketed by walk key, which on a
+    common charpoly is equivalent to the complement charpoly (see
+    sgraph.walk_key), and every bucket must consist of pairwise-isomorphic
+    signed trees.
     """
     cert = certify_tree(tree)
     if not cert.certified:
         raise PreconditionError(f"tree is not certified ({cert.verdict})")
     n = tree.n
-    pool = enumerate_trees(n)
-    phi = cert.charpoly
-    candidates = [t for t in pool.trees if charpoly(t.adjacency()) == phi]
-    groups: dict[tuple, list[SignedGraph]] = {}
-    signings = 0
-    for t in candidates:
-        for g in enumerate_signings(t):
-            groups.setdefault(walk_key(g), []).append(g)
-            signings += 1
+    candidates = charpoly_classes(n)[cert.charpoly]
+    count, groups = _walk_key_groups(candidates)
     ok, counterexamples = _check_spectrum_groups(groups)
     records = tuple(_structure_records(groups)) if structure_records else ()
     return ExhaustiveCheckReport(
@@ -329,13 +404,7 @@ def exhaustive_dgs_check(
         ok=ok,
         counterexamples=tuple(counterexamples),
         candidate_trees=len(candidates),
-        signings_scanned=signings,
-        spectrum_groups=len(groups),
+        signings_scanned=len(candidates) << (n - 1),
+        spectrum_groups=count,
         gc_pairs=records,
     )
-
-
-def find_trees_with_charpoly(n: int, phi: IntPolynomial) -> list[SignedGraph]:
-    """Pool members whose (all-positive) adjacency charpoly equals phi."""
-    pool = enumerate_trees(n)
-    return [t for t in pool.trees if charpoly(t.adjacency()) == phi]

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotBipartiteError, NotTreeError, SgdgsError
 from .linalg import IntMatrix
@@ -194,6 +195,25 @@ def part_sorted_adjacency(g: SignedGraph, b: Optional[Bipartition] = None) -> In
 # -- walk counts ------------------------------------------------------------------
 
 
+def walk_terms(edges: Sequence[tuple[int, int, int]], x: Sequence[int]) -> Iterator[int]:
+    """x^T A x, x^T A^2 x, ... without end, for the signed graph with these
+    edges; x is indexed by vertex (slot 0 unused, zero).
+
+    With y_0 = x and y_(j+1) = A y_j, the terms are
+    w_(2j+1) = y_j^T A y_j = 2 sum_edges s_uv y_j[u] y_j[v] and
+    w_(2j+2) = y_(j+1) . y_(j+1): one sparse mat-vec per two terms.
+    """
+    y = x
+    while True:
+        yield 2 * sum([s * y[u] * y[v] for u, v, s in edges])
+        z = [0] * len(y)
+        for u, v, s in edges:
+            z[u] += s * y[v]
+            z[v] += s * y[u]
+        y = z
+        yield sum([t * t for t in y])
+
+
 def walk_key(g: SignedGraph) -> tuple[int, ...]:
     """Walk counts (w_0, ..., w_(n-1)) with w_k = e^T A^k e.
 
@@ -212,14 +232,8 @@ def walk_key(g: SignedGraph) -> tuple[int, ...]:
     others.  (This is the walk-matrix framework of Wang & Xu, Europ. J.
     Combin. 2006.)
     """
-    adj = g.neighbor_lists()
-    v = [1] * (g.n + 1)
-    v[0] = 0
-    key = [g.n]
-    for _ in range(g.n - 1):
-        v = [0] + [sum(s * v[u] for u, s in adj[i]) for i in range(1, g.n + 1)]
-        key.append(sum(v))
-    return tuple(key)
+    e = [0] + [1] * g.n
+    return (g.n,) + tuple(islice(walk_terms(g.edges, e), g.n - 1))
 
 
 # -- switching and balance ------------------------------------------------------

@@ -63,9 +63,12 @@ def are_generalized_cospectral(a: IntMatrix, b: IntMatrix) -> bool:
 class QRecovery:
     """Q = W(A) W(B)^(-1) plus the three validity flags.
 
-    All flags hold exactly iff A and B are generalized cospectral with the
-    recovered Q as the unique regular rational orthogonal conjugator; a
-    failed flag is diagnostic data, not an error.
+    orthogonal and conjugates hold together exactly iff A and B are
+    generalized cospectral, with the recovered Q as the unique regular
+    rational orthogonal conjugator; a failed flag is diagnostic data, not
+    an error.  regular (Q e = e) is no evidence: e is the first column of
+    both walk matrices, so Q W_B = W_A gives Q e = e for every pair of
+    controllable matrices.  It checks the solve.
     """
 
     q: RatMatrix
@@ -84,8 +87,9 @@ def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
     Q W_B = W_A, so the fraction-free solve of W_B^T (dQ)^T = d W_A^T gives
     dQ = d Q as an integer matrix, d = det W_B.  The flags are checked on
     dQ in integers, each scaled by d or d^2: (dQ)^T (dQ) = d^2 I, every row
-    of dQ sums to d, and (dQ)^T A (dQ) = d^2 B.  Fractions are built only
-    for QRecovery.q.
+    of dQ sums to d, and (dQ)^T A (dQ) = d^2 B.  The row sums hold for any
+    exact solve (see QRecovery), so only the other two flags tell
+    cospectral pairs apart.  Fractions are built only for QRecovery.q.
     """
     if a.shape() != b.shape() or not a.is_square:
         raise PreconditionError("recover_q requires square matrices of equal size")

@@ -172,6 +172,25 @@ def walk_matrix_rows(rows):
     return transpose(cols)
 
 
+def dense_walk_counts(rows, count):
+    """[e^T A^k e for k < count] by dense mat-vecs."""
+    v = [1] * len(rows)
+    counts = []
+    for _ in range(count):
+        counts.append(sum(v))
+        v = [sum(a * b for a, b in zip(row, v)) for row in rows]
+    return counts
+
+
+def full_key_groups(signings, key):
+    """{key: members} filled in stream order: the dict of full walk keys
+    that exhaustive_dgs_check bucketed by before term-by-term refinement."""
+    groups = {}
+    for g in signings:
+        groups.setdefault(key(g), []).append(g)
+    return groups
+
+
 def walk_conjugator(a, b):
     """(Q, orthogonal, regular, conjugates) for Q = W_A W_B^-1 over the
     rationals, or None when W_B is singular."""

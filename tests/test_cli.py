@@ -1,10 +1,14 @@
 """CLI behavior: subcommands, exit codes, JSON stability, dataset emission."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
+from sgdgs.certify import certify_tree
 from sgdgs.cli import main
+from sgdgs.search import enumerate_signings
 from sgdgs.sgraph import format_sg, parse_sg, read_sg
 from sgdgs.datasets import remark1_pair
 
@@ -180,6 +184,44 @@ def test_exhaustive_check_within_guard(capsys):
     payload = json.loads(out)
     assert payload["certified_trees"] == 3
     assert payload["all_ok"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e6f95a1590750f0c42abeabe685040e3e9716d0c5349954cc0d7209bbf4b7ee6"
+    )
+
+
+def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
+    """The pinned n = 14 census: 36 certified trees in 31 charpoly classes.
+    Each tree is certified once by the CLI and each class once more by
+    exhaustive_dgs_check (3,159 + 31 calls), and each class's signings are
+    bucketed once: 36 candidate trees x 2^13 signings."""
+    import sgdgs.cli as cli_mod
+    import sgdgs.search as search_mod
+
+    certify_calls = []
+    signings = []
+
+    def counting_certify(tree):
+        certify_calls.append(tree)
+        return certify_tree(tree)
+
+    def counting_signings(tree):
+        for g in enumerate_signings(tree):
+            signings.append(None)
+            yield g
+
+    monkeypatch.setattr(cli_mod, "certify_tree", counting_certify)
+    monkeypatch.setattr(search_mod, "certify_tree", counting_certify)
+    monkeypatch.setattr(search_mod, "enumerate_signings", counting_signings)
+    start = time.time()
+    code, out, _ = run(capsys, "exhaustive-check", "--n", "14", "--max-n", "14", "--json")
+    elapsed = time.time() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a8afd8e1e2afaabae98bb690d47dc75509ebcca0b2d452205cb506db463ca3c3"
+    )
+    assert len(certify_calls) == 3190
+    assert len(signings) == 294_912
+    assert elapsed < 60.0
 
 
 def test_max_n_env_mirror(capsys, monkeypatch):

@@ -12,13 +12,14 @@ from sgdgs.linalg import charpoly, complement_matrix
 from sgdgs.search import (
     FREE_TREE_COUNTS,
     _check_spectrum_groups,
+    _walk_key_groups,
     all_signed_trees,
+    charpoly_classes,
     decode_pruefer,
     enumerate_signings,
     enumerate_trees,
     exhaustive_dgs_check,
     find_gc_mates,
-    find_trees_with_charpoly,
     random_tree,
 )
 from sgdgs.sgraph import (
@@ -31,7 +32,7 @@ from sgdgs.sgraph import (
 )
 from sgdgs.spectra import are_generalized_cospectral
 
-from oracles import prufer_free_tree_count
+from oracles import full_key_groups, prufer_free_tree_count
 
 
 def test_pool_counts_match_free_tree_sequence():
@@ -157,7 +158,7 @@ def test_exhaustive_check_negative_control():
 def test_example1_pair_locatable_at_n14():
     """Exactly one unordered pair of 14-vertex trees carries the embedded
     degree-14 charpoly (the printed cospectral pair)."""
-    matches = find_trees_with_charpoly(14, EXAMPLE1_CHARPOLY)
+    matches = charpoly_classes(14).get(EXAMPLE1_CHARPOLY, ())
     assert len(matches) == 2
     t1, t2 = matches
     assert are_isomorphic(t1, t2) is None
@@ -195,6 +196,37 @@ def test_walk_key_buckets_match_complement_charpoly_buckets():
         shape = [tuple((u, v) for u, v, _ in g.edges) for g in signings]
         cross_tree += sum(len({shape[i] for i in c}) > 1 for c in _classes(phis))
     assert cross_tree > 0
+
+
+def test_charpoly_classes_partition_the_pool_in_pool_order():
+    for n in range(1, 11):
+        pool = enumerate_trees(n).trees
+        classes = charpoly_classes(n)
+        assert sorted(t.edges for ts in classes.values() for t in ts) == sorted(t.edges for t in pool)
+        for phi, trees in classes.items():
+            assert all(charpoly(t.adjacency()) == phi for t in trees)
+            assert list(trees) == [t for t in pool if t in trees]
+
+
+def test_walk_key_refinement_matches_full_key_dict():
+    """Term-by-term refinement on every charpoly class of trees with n <= 10
+    against the dict of full walk keys filled in stream order: the same
+    number of buckets, and the same multi-member buckets with the same
+    keys, members, member order and bucket order."""
+    shared_classes = 0
+    multi_bucket_classes = 0
+    for n in range(1, 11):
+        for trees in charpoly_classes(n).values():
+            count, groups = _walk_key_groups(trees)
+            oracle = full_key_groups(
+                (g for t in trees for g in enumerate_signings(t)), walk_key
+            )
+            assert count == len(oracle), (n, trees[0])
+            colliding = [(key, members) for key, members in oracle.items() if len(members) > 1]
+            assert list(groups.items()) == colliding, (n, trees[0])
+            shared_classes += len(trees) > 1
+            multi_bucket_classes += len(colliding) > 1
+    assert shared_classes > 0 and multi_bucket_classes > 0
 
 
 def test_find_gc_mates_non_tree_pool_agrees_with_direct_filter():

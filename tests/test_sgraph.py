@@ -1,7 +1,7 @@
 """Signed-graph model: bipartition, switching, balance, isomorphism, files."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -23,9 +23,11 @@ from sgdgs.sgraph import (
     switch,
     switching_diagonal,
     tree_canonical_form,
+    walk_key,
+    walk_terms,
 )
 
-from oracles import brute_force_isomorphism
+from oracles import brute_force_isomorphism, dense_walk_counts
 
 
 def path_graph(n, signs=None):
@@ -292,3 +294,22 @@ def test_sg_format_rejects_garbage():
         parse_sg("2 1\n1 2 0\n")
     with pytest.raises(ValueError):
         parse_sg("2 2\n1 2 +1\n")
+
+
+def test_walk_key_matches_dense_oracle_on_cyclic_graphs():
+    """walk_key and the walk-term generator against dense e^T A^k e on signed
+    cycles and signed unicyclic graphs (mate-search pools take any graph)."""
+    rng = random.Random(71)
+    graphs = []
+    for n in range(3, 10):
+        cycle = [(i, i + 1) for i in range(1, n)] + [(1, n)]
+        tree = [(rng.randrange(1, v), v) for v in range(2, n + 1)]
+        extra = rng.choice([p for p in combinations(range(1, n + 1), 2) if p not in tree])
+        for edges in (cycle, tree + [extra]):
+            graphs.append(SignedGraph(n, tuple((u, v, rng.choice((1, -1))) for u, v in edges)))
+    for g in graphs:
+        rows = g.adjacency().to_lists()
+        counts = dense_walk_counts(rows, 2 * g.n)
+        assert walk_key(g) == tuple(counts[: g.n])
+        e = [0] + [1] * g.n
+        assert list(islice(walk_terms(g.edges, e), 2 * g.n - 1)) == counts[1:]

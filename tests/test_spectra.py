@@ -213,6 +213,8 @@ def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
             continue
         rec = _assert_matches_walk_conjugator(a, b)
         assert not rec.conjugates and rec.regular
+        # regular holds although the pair is not cospectral: it is no evidence
+        assert rec.regular and not (rec.orthogonal and rec.conjugates)
         not_orthogonal += not rec.orthogonal
     assert not_orthogonal > 0
 
