@@ -9,7 +9,6 @@ bipartite cross-check disc(phi) = 2^n * det(M)^2 * disc(charpoly(M^T M))^2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -62,9 +61,6 @@ class DgsCertificate:
             "cross_check": self.cross_check,
             "probabilistic_flags": self.probabilistic,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _not_certified(reason: str) -> str:

@@ -33,10 +33,6 @@ class NotTreeError(SgdgsError, ValueError):
     """Underlying graph is not a tree."""
 
 
-class FieldMismatchError(SgdgsError, ValueError):
-    """Arithmetic between elements of different number fields."""
-
-
 class PreconditionError(SgdgsError, ValueError):
     """A documented operation precondition does not hold."""
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import InternalInvariantError, UndefinedInputError
-from .factorint import first_primes
+from .factorint import factor_integer, first_primes
 
 
 class IntPolynomial:
@@ -49,10 +49,6 @@ class IntPolynomial:
     @classmethod
     def x(cls) -> "IntPolynomial":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        return cls((0,) * degree + (coefficient,))
 
     # -- structure ---------------------------------------------------------
 
@@ -151,10 +147,6 @@ class IntPolynomial:
             out.append(c)
             out.append(0)
         return IntPolynomial(out[:-1] if out else out)
-
-    def substitute_neg_x(self) -> "IntPolynomial":
-        """p(-x)."""
-        return IntPolynomial(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
 
     # -- comparisons / misc ------------------------------------------------
 
@@ -487,27 +479,11 @@ def _gf_is_irreducible(f, p) -> bool:
     x = [0, 1]
     if _gf_trim(_gf_sub(_gf_pow_mod(x, p**n, f, p), x, p)):
         return False
-    for q in sorted({q for q, _ in _factor_small(n)}):
+    for q, _ in factor_integer(n).factors:
         h = _gf_sub(_gf_pow_mod(x, p ** (n // q), f, p), x, p)
         if len(_gf_gcd(f, h, p)) != 1:
             return False
     return True
-
-
-def _factor_small(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _gf_factor_squarefree(f, p, rng: random.Random):
@@ -746,8 +722,7 @@ def factor(f: IntPolynomial) -> tuple[int, list[tuple[IntPolynomial, int]]]:
 class IrreducibilityVerdict:
     """Outcome of the irreducibility test over the rationals.
 
-    status: 'irreducible', 'reducible' or 'unknown' (the latter only when
-    the factorization fallback is disabled).  For reducible inputs the
+    status: 'irreducible' or 'reducible'.  For reducible inputs the
     witness is a nontrivial factor; for irreducible ones the method that
     settled it ('degree-1', 'mod-p' with the prime, or 'factorization').
     """
@@ -805,9 +780,7 @@ def _reducible_mod_every_odd_prime(f: IntPolynomial) -> bool:
     return c > 0 and math.isqrt(c) ** 2 == c
 
 
-def is_irreducible(
-    f: IntPolynomial, use_factorization: bool = True, disc: int | None = None
-) -> IrreducibilityVerdict:
+def is_irreducible(f: IntPolynomial, disc: int | None = None) -> IrreducibilityVerdict:
     """Irreducibility over Q.
 
     disc, when given, must be the discriminant of f's primitive part; it
@@ -819,8 +792,7 @@ def is_irreducible(
     even with (-1)^(n/2) * f(0) * lc(f) a perfect square, as every tree
     charpoly with a perfect matching is (see
     _reducible_mod_every_odd_prime for the proof).  Otherwise, or after a
-    skip, the full integer factorization decides, unless disabled, in
-    which case the verdict is 'unknown'.
+    skip, the full integer factorization decides.
     """
     if f.is_zero():
         raise UndefinedInputError("irreducibility of the zero polynomial")
@@ -842,8 +814,6 @@ def is_irreducible(
         for p in islice(usable, _MOD_P_ATTEMPTS):
             if _gf_is_irreducible(_gf_monic(_gf_from_poly(prim.coeffs, p), p), p):
                 return IrreducibilityVerdict("irreducible", method="mod-p", prime=p)
-    if not use_factorization:
-        return IrreducibilityVerdict("unknown")
     # disc(-prim) = disc(prim): Res(-f, -f') = -Res(f, f') and lc(-f) = -lc(f)
     factors = _factor_primitive_squarefree(prim if prim.lc > 0 else -prim, disc)
     if len(factors) == 1:

@@ -1,228 +1,35 @@
-"""Exact arithmetic in Q[x]/(phi) and the symbolic eigenvector machinery.
+"""Symbolic eigenvectors in Z[x]/(phi) and the bipartite eigen-structure checks.
 
 Used to verify the bipartite eigen-structure facts without any floating
-point: eigenvector entries live in the number field generated by an
-eigenvalue, i.e. they are polynomial residues with rational coefficients.
+point.  For an integer matrix A with irreducible characteristic
+polynomial phi and a root alpha of phi, the eigenvectors for alpha have
+entries in Q(alpha) = Q[x]/(phi); up to a Q(alpha) scale they have integer
+polynomial entries of degree < deg(phi) (Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138, ch. 4), and every check here runs on
+those integer residues.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    FieldMismatchError,
-    InternalInvariantError,
-    NotBipartiteError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, NotBipartiteError, PreconditionError
 from .intpoly import IntPolynomial, is_irreducible
 from .linalg import IntMatrix, charpoly
 from .sgraph import SignedGraph, bipartite_adjacency, bipartition
-
-# dense ascending Fraction coefficient lists ------------------------------------
-
-
-def _q_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _q_add(a, b):
-    n = max(len(a), len(b))
-    return _q_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    return _q_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _q_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _q_trim(out)
-
-
-def _q_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(x) for x in a]
-    if len(r) < len(b):
-        return [], _q_trim(r)
-    inv = 1 / b[-1]
-    q = [Fraction(0)] * (len(r) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        coef = r[i + len(b) - 1] * inv
-        if coef:
-            q[i] = coef
-            for j, bc in enumerate(b):
-                r[i + j] -= coef * bc
-    return _q_trim(q), _q_trim(r[: len(b) - 1])
-
-
-def _q_gcdex(a, b):
-    """(s, t, g) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
-        t0, t1 = t1, _q_sub(t0, _q_mul(q, t1))
-    if not r0:
-        raise ZeroDivisionError("gcdex of zero polynomials")
-    inv = 1 / r0[-1]
-    return [c * inv for c in s0], [c * inv for c in t0], [c * inv for c in r0]
-
-
-class NumberField:
-    """Q[x]/(phi) for a monic irreducible integer polynomial phi."""
-
-    __slots__ = ("modulus", "degree", "_mod_list")
-
-    def __init__(self, modulus: IntPolynomial):
-        if not modulus.is_monic():
-            raise PreconditionError("field modulus must be monic")
-        if modulus.degree >= 2 and not is_irreducible(modulus).irreducible:
-            raise PreconditionError("field modulus must be irreducible over Q")
-        if modulus.degree < 1:
-            raise PreconditionError("field modulus must have degree >= 1")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "degree", modulus.degree)
-        object.__setattr__(self, "_mod_list", [Fraction(c) for c in modulus.coeffs])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberField is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, NumberField):
-            return self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.modulus)
-
-    def __repr__(self):
-        return f"NumberField({self.modulus})"
-
-    def element(self, coefficients: Sequence) -> "NumberFieldElement":
-        coeffs = [Fraction(c) for c in coefficients]
-        _, rem = _q_divmod(coeffs, self._mod_list)
-        return NumberFieldElement(self, rem)
-
-    def zero(self) -> "NumberFieldElement":
-        return NumberFieldElement(self, [])
-
-    def one(self) -> "NumberFieldElement":
-        return self.element([1])
-
-    def generator(self) -> "NumberFieldElement":
-        """The residue of x, i.e. the adjoined root itself."""
-        return self.element([0, 1])
-
-
-class NumberFieldElement:
-    """Residue c0 + c1*a + ... + c_(n-1)*a^(n-1) in its owning field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: NumberField, reduced: list[Fraction]):
-        object.__setattr__(self, "field", field)
-        padded = list(reduced) + [Fraction(0)] * (field.degree - len(reduced))
-        object.__setattr__(self, "coeffs", tuple(padded))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumberFieldElement is immutable")
-
-    def _check(self, other) -> "NumberFieldElement":
-        if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError("elements belong to different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element([other])
-        raise TypeError(f"cannot combine NumberFieldElement with {type(other).__name__}")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        other = self._check(other)
-        return NumberFieldElement(self.field, _q_add(list(self.coeffs), list(other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        prod = _q_mul(list(self.coeffs), list(other.coeffs))
-        _, rem = _q_divmod(prod, self.field._mod_list)
-        return NumberFieldElement(self.field, rem)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "NumberFieldElement":
-        """Multiplicative inverse via the extended polynomial gcd."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in number field")
-        s, _, g = _q_gcdex(_q_trim(list(self.coeffs)), self.field._mod_list)
-        if g != [Fraction(1)]:  # pragma: no cover - modulus is irreducible
-            raise InternalInvariantError("element shares a factor with the modulus")
-        _, rem = _q_divmod(s, self.field._mod_list)
-        return NumberFieldElement(self.field, rem)
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, NumberFieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self.field.element([other])
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
-
-    def __repr__(self):
-        return f"NumberFieldElement({list(self.coeffs)})"
-
 
 # -- symbolic eigenvectors --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SymbolicEigenvector:
-    """Eigenvector of A for the field generator: entries are residues, and
-    A * xi = alpha * xi holds exactly modulo the field modulus."""
+    """Eigenvector of A for a root alpha of modulus = charpoly(A): entry r
+    is the residue sum_k entries[r][k] alpha^k, with deg(modulus) integer
+    coefficients, and A xi = alpha xi holds exactly modulo the modulus."""
 
-    field: NumberField
-    entries: tuple[NumberFieldElement, ...]
-
-    def entry_polynomials(self) -> list[tuple[Fraction, ...]]:
-        return [e.coeffs for e in self.entries]
+    modulus: IntPolynomial
+    entries: tuple[tuple[int, ...], ...]
 
 
 def _z_reduce(a: list[int], phi: list[int]) -> list[int]:
@@ -238,7 +45,7 @@ def _z_reduce(a: list[int], phi: list[int]) -> list[int]:
     return r[:n]
 
 
-def _z_norm(vectors: list[list[int]], phi: list[int]) -> list[int]:
+def _z_norm(vectors: Sequence[Sequence[int]], phi: list[int]) -> list[int]:
     """sum_i v_i^2 modulo the monic phi, each v_i of degree < deg(phi)."""
     out = [0] * (2 * len(phi) - 3)
     for v in vectors:
@@ -257,7 +64,7 @@ def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> S
     c_(i+j+1) A^i, so the column is sum_j alpha^j sum_i c_(i+j+1) A^i e_1:
     every entry is an integer polynomial of degree < n in alpha, and
     (alpha I - A) times the column is phi(alpha) e_1 = 0.  A xi = alpha xi
-    is checked in Z[x]/(phi) before anything else.
+    is checked in Z[x]/(phi) before the column is returned.
 
     The column is never zero.  phi is irreducible, so alpha is a simple
     eigenvalue and alpha I - A has rank n - 1; its adjugate is symmetric,
@@ -268,8 +75,9 @@ def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> S
     The n conjugates of alpha are distinct, so these n eigenvectors form
     a basis of C^n on which the first coordinate vanishes: absurd.
 
-    The kernel is one-dimensional, so scaling by one field inverse to make
-    the first nonzero entry 1 gives the unique normalized eigenvector.
+    The kernel of alpha I - A over Q(alpha) is one-dimensional, so every
+    nonzero kernel vector is a Q(alpha)-multiple of this one.  The column
+    is returned as it is, in integer residues, not normalized.
     """
     if not a.is_square:
         raise PreconditionError("symbolic eigenvector requires a square matrix")
@@ -280,7 +88,8 @@ def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> S
         phi = actual
     elif phi != actual:
         raise PreconditionError("phi is not the characteristic polynomial of A")
-    field = NumberField(phi)  # verifies irreducibility
+    if phi.degree < 1 or not is_irreducible(phi).irreducible:
+        raise PreconditionError("characteristic polynomial must be irreducible over Q")
     n = a.rows
     c = list(phi.coeffs)
     powers = [[int(i == 0) for i in range(n)]]  # A^i e_1
@@ -301,9 +110,7 @@ def symbolic_eigenvector(a: IntMatrix, phi: Optional[IntPolynomial] = None) -> S
                     lhs[k] += x * column[j][k]
         if lhs != _z_reduce([0] + column[i], c):
             raise InternalInvariantError("eigenvector verification failed")
-    xi = [field.element(v) for v in column]
-    inv = next(e for e in xi if not e.is_zero()).inverse()
-    return SymbolicEigenvector(field=field, entries=tuple(e * inv for e in xi))
+    return SymbolicEigenvector(modulus=phi, entries=tuple(map(tuple, column)))
 
 
 # -- bipartite eigen-structure verification -----------------------------------------
@@ -369,10 +176,10 @@ def verify_bipartite_eigen_properties(g: SignedGraph) -> BipartiteEigenReport:
     if irreducible:
         eig = symbolic_eigenvector(gram_left, phi_left)
         eig_ok = True  # verified inside symbolic_eigenvector
-        # w^T w = alpha u^T u is homogeneous in u, so it is checked in
-        # Z[x]/(phi) on u scaled by the lcm of its coefficient denominators
-        scale = math.lcm(*(x.denominator for e in eig.entries for x in e.coeffs))
-        u = [[int(x * scale) for x in e.coeffs] for e in eig.entries]
+        # w^T w = alpha u^T u is homogeneous of degree 2 in u, so a Q(alpha)
+        # scaling of u does not change its truth: it is checked in Z[x]/(phi)
+        # on the integer adjugate column itself
+        u = eig.entries
         half = len(u)
         mod = list(phi_left.coeffs)
         w = [

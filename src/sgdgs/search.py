@@ -376,10 +376,7 @@ def _walk_key_groups(candidates: tuple[SignedGraph, ...]) -> tuple[int, dict]:
     return count, groups
 
 
-def exhaustive_dgs_check(
-    tree: SignedGraph,
-    structure_records: bool = True,
-) -> ExhaustiveCheckReport:
+def exhaustive_dgs_check(tree: SignedGraph) -> ExhaustiveCheckReport:
     """Confirm a certified tree against every signed tree of its order.
 
     Candidates are the pool trees cospectral with the input (all signings
@@ -397,7 +394,7 @@ def exhaustive_dgs_check(
     candidates = charpoly_classes(n)[cert.charpoly]
     count, groups = _walk_key_groups(candidates)
     ok, counterexamples = _check_spectrum_groups(groups)
-    records = tuple(_structure_records(groups)) if structure_records else ()
+    records = tuple(_structure_records(groups))
     return ExhaustiveCheckReport(
         tree=tree,
         n=n,

@@ -280,6 +280,23 @@ def kernel_eigenvector(rows, phi):
     return [_field_mul(e, inv, phi) for e in xi]
 
 
+def field_scaled(u, c, phi):
+    """c * u in Q[x]/(phi), entry by entry (coefficient lists)."""
+    return [_field_mul(c, x, phi) for x in u]
+
+
+def field_eigen_equation(rows, u, phi, sign=1):
+    """Whether A u = sign * alpha u in Q[x]/(phi), row by row, for the
+    integer matrix A and u a vector of coefficient lists."""
+    d = len(phi) - 1
+    alpha = _field_rem([0, 1], phi)
+    return all(
+        _field_rem([sum(x * v[k] for x, v in zip(row, u)) for k in range(d)], phi)
+        == [sign * c for c in _field_mul(alpha, u_i, phi)]
+        for row, u_i in zip(rows, u)
+    )
+
+
 def field_length_equality(m, u, phi):
     """w^T w == alpha u^T u in Q[x]/(phi) for w = M^T u, u a vector of
     coefficient lists."""

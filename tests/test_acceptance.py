@@ -44,6 +44,8 @@ from sgdgs.sgraph import (
 )
 from sgdgs.spectra import classify_q, is_controllable, is_regular_orthogonal, recover_q, verify_structure_theorem
 
+from oracles import field_eigen_equation
+
 _CRITERION4_REPORTS = []  # populated by criterion 4, consumed by criterion 7
 
 
@@ -274,22 +276,17 @@ def test_criterion_8_numberfield_suite(capsys):
         if found:
             break
     assert found is not None and found.n == 8
-    eig = symbolic_eigenvector(found.adjacency())
-    alpha = eig.field.generator()
     a = found.adjacency()
-    for i in range(found.n):
-        acc = eig.field.zero()
-        for j in range(found.n):
-            if a[i, j]:
-                acc = acc + eig.entries[j] * a[i, j]
-        assert acc == alpha * eig.entries[i]
+    eig = symbolic_eigenvector(a)
+    # A xi = alpha xi row by row, in the oracle's Fraction field arithmetic
+    assert field_eigen_equation(a.to_lists(), eig.entries, list(eig.modulus.coeffs))
     # length equality for the first tree and for remark1's Gram matrix
     rep_tree = verify_bipartite_eigen_properties(found)
     assert rep_tree.passed and rep_tree.length_equality
     m, _ = remark1_matrices()
     gram = m @ m.T
     eig9 = symbolic_eigenvector(gram)
-    assert eig9.field.degree == 9
+    assert eig9.modulus.degree == 9
     g1, _ = remark1_pair()
     rep1 = verify_bipartite_eigen_properties(g1)
     assert rep1.passed and rep1.length_equality

@@ -111,9 +111,30 @@ def test_is_irreducible_examples():
     assert not is_irreducible(remark2_printed_charpoly()).irreducible
 
 
-def test_is_irreducible_unknown_when_fallback_disabled():
-    v = is_irreducible(X**4 + 1, use_factorization=False)
-    assert v.status == "unknown"
+def test_rabin_test_counts_match_gauss_formula():
+    """Rabin's test mod p accepts exactly (1/n) sum_(d|n) mu(d) p^(n/d) of
+    the p^n monic polynomials of degree n: degrees with one, two and a
+    repeated prime divisor exercise every n/q exponent of the test."""
+
+    def mobius(d):
+        out, q = 1, 2
+        while q * q <= d:
+            if d % q == 0:
+                d //= q
+                if d % q == 0:
+                    return 0
+                out = -out
+            q += 1
+        return -out if d > 1 else out
+
+    for p, top in ((2, 9), (3, 6), (5, 4)):
+        for n in range(1, top + 1):
+            expected = sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+            count = 0
+            for low in range(p**n):
+                f = [(low // p**i) % p for i in range(n)] + [1]
+                count += intpoly._gf_is_irreducible(f, p)
+            assert count == expected, (p, n)
 
 
 def test_reducible_witness_divides():

@@ -35,7 +35,13 @@ from sgdgs.spectra import (
     walk_matrix,
 )
 
-from oracles import cofactor_charpoly, field_length_equality, kernel_eigenvector, walk_conjugator
+from oracles import (
+    cofactor_charpoly,
+    field_length_equality,
+    field_scaled,
+    kernel_eigenvector,
+    walk_conjugator,
+)
 
 
 def path_graph(n):
@@ -221,9 +227,10 @@ def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
 
 def test_eigen_structure_matches_oracles():
     """remark1 and planted 18-vertex pairs through the structure theorem;
-    the Gram eigenvector equals the Gauss-Jordan kernel vector, and the
-    length equality holds in the oracle's field arithmetic as in the
-    report (remark1's eigenvector has non-integer coefficients)."""
+    the integer Gram eigenvector is its first entry times the Gauss-Jordan
+    kernel vector, and the length equality holds in the oracle's field
+    arithmetic as in the report, on both vectors (remark1's kernel vector
+    has non-integer coefficients)."""
     rng = random.Random(29)
     cases = [(remark1_pair(), "BlockDiagonal")]
     cases += [(pair, "Permutation") for pair in _planted_tree_pairs(rng, 18, 3)]
@@ -234,10 +241,12 @@ def test_eigen_structure_matches_oracles():
         gram = m @ m.T
         phi = list(charpoly(gram).coeffs)
         u = kernel_eigenvector(gram.to_lists(), phi)
-        assert [list(e.coeffs) for e in symbolic_eigenvector(gram).entries] == u
+        xi = symbolic_eigenvector(gram).entries
+        assert any(xi[0]) and field_scaled(u, xi[0], phi) == [list(e) for e in xi]
         lemma = verify_bipartite_eigen_properties(g)
         assert lemma.passed and lemma.length_equality
         assert field_length_equality(m.to_lists(), u, phi)
+        assert field_length_equality(m.to_lists(), xi, phi)
 
 
 def test_structure_complement_check_matches_generalized_spectrum_oracle():
