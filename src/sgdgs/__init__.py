@@ -2,7 +2,7 @@
 
 Decides whether all signings of a tree are determined by their generalized
 spectrum via the odd-square-free discriminant certificate, and provides
-the supporting exact machinery: big-integer/rational linear algebra,
+the supporting exact machinery: exact big-integer linear algebra,
 integer polynomial factorization, rational orthogonal conjugator recovery,
 number-field eigenvector verification, and desk-scale exhaustive search.
 """

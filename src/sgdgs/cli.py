@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import datasets
 from .certify import certify_from_charpoly, certify_tree
@@ -50,12 +49,8 @@ def _emit(payload: dict, as_json: bool, render) -> None:
         render()
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _matrix_rows(q: RatMatrix) -> list[list[str]]:
-    return [[_fmt_fraction(q[i, j]) for j in range(q.cols)] for i in range(q.rows)]
+    return [[str(x) for x in row] for row in q.data]
 
 
 def _print_rat_matrix(q: RatMatrix) -> None:
@@ -157,7 +152,7 @@ def _cmd_recover_q(args) -> int:
     h = _load_graph(args.graph_b)
     rec = recover_q(g.adjacency(), h.adjacency())
     split = g.n // 2 if g.n % 2 == 0 else None
-    cls = classify_q(rec.q, split=split)
+    cls = classify_q(rec.scaled, rec.level, split=split)
     payload = {
         "n": g.n,
         "orthogonal": rec.orthogonal,

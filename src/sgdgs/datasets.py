@@ -15,10 +15,9 @@ Three named datasets are baked in so acceptance runs are hermetic:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intpoly import IntPolynomial
-from .linalg import IntMatrix, RatMatrix
+from .linalg import IntMatrix
 from .sgraph import SignedGraph, from_bipartite_adjacency
 
 EXAMPLE1_CHARPOLY = IntPolynomial(
@@ -196,19 +195,18 @@ def remark2_pair() -> tuple[SignedGraph, SignedGraph]:
     return from_bipartite_adjacency(m), from_bipartite_adjacency(mt)
 
 
-def remark1_printed_q() -> RatMatrix:
-    """diag(Q1, Q2) with denominator 7, as printed."""
-    entries = [[Fraction(0)] * 18 for _ in range(18)]
+def remark1_printed_q() -> tuple[int, IntMatrix]:
+    """diag(Q1, Q2) as printed, as the pair (7, 7 * diag(Q1, Q2))."""
+    entries = [[0] * 18 for _ in range(18)]
     for i in range(9):
-        for j in range(9):
-            entries[i][j] = Fraction(_REMARK1_Q1_NUM[i][j], 7)
-            entries[9 + i][9 + j] = Fraction(_REMARK1_Q2_NUM[i][j], 7)
-    return RatMatrix(entries)
+        entries[i][:9] = _REMARK1_Q1_NUM[i]
+        entries[9 + i][9:] = _REMARK1_Q2_NUM[i]
+    return 7, IntMatrix(entries)
 
 
-def remark2_printed_q() -> RatMatrix:
-    """The printed 18 x 18 conjugator with denominator 5."""
-    return RatMatrix([[Fraction(v, 5) for v in row] for row in _REMARK2_Q_NUM])
+def remark2_printed_q() -> tuple[int, IntMatrix]:
+    """The printed 18 x 18 conjugator Q, as the pair (5, 5 * Q)."""
+    return 5, IntMatrix(_REMARK2_Q_NUM)
 
 
 def remark2_printed_charpoly() -> IntPolynomial:

@@ -1,8 +1,10 @@
-"""Dense exact matrices over arbitrary-precision integers and rationals.
+"""Dense exact matrices over arbitrary-precision integers.
 
-IntMatrix and RatMatrix are immutable; all operations are pure functions.
-Rational entries are fractions.Fraction, which keeps every entry in lowest
-terms with a positive denominator, so equality is structural.
+IntMatrix is immutable; all operations are pure functions.  RatMatrix is
+an immutable value with no arithmetic: it holds the rational matrices of
+the text format and the Fraction view of a conjugator (level, level * Q).
+Its entries are fractions.Fraction, in lowest terms with a positive
+denominator, so equality is structural.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ class IntMatrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.data]
 
@@ -66,18 +65,6 @@ class IntMatrix:
     @property
     def T(self) -> "IntMatrix":
         return self.transpose()
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        _same_shape(self, other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        _same_shape(self, other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-a for a in r] for r in self.data])
@@ -101,15 +88,13 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    def to_rational(self) -> "RatMatrix":
-        return RatMatrix([[Fraction(x) for x in row] for row in self.data])
-
     def __repr__(self):
         return f"IntMatrix({self.to_lists()})"
 
 
 class RatMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix of exact rational entries; a value, not an
+    arithmetic type."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -127,74 +112,20 @@ class RatMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    @property
-    def T(self) -> "RatMatrix":
-        return self.transpose()
-
-    def __matmul__(self, other) -> "RatMatrix":
-        if isinstance(other, IntMatrix):
-            other = other.to_rational()
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.shape()} by {other.shape()}")
-        bt = other.transpose().data
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
-        )
-
-    def __rmatmul__(self, other) -> "RatMatrix":
-        if isinstance(other, IntMatrix):
-            return other.to_rational() @ self
-        return NotImplemented
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        _same_shape(self, other)
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
-
     def __eq__(self, other):
         if isinstance(other, RatMatrix):
             return self.data == other.data
-        if isinstance(other, IntMatrix):
-            return self.data == other.to_rational().data
         return NotImplemented
 
     def __hash__(self):
         return hash(self.data)
 
-    def shape(self) -> tuple[int, int]:
-        return self.rows, self.cols
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.data for x in row)
-
-    def to_integer(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.data])
-
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in row] for row in self.data]})"
-
-
-def _same_shape(a, b):
-    if a.shape() != b.shape():
-        raise DimensionError(f"shape mismatch: {a.shape()} vs {b.shape()}")
 
 
 def _require_square(m, what: str):

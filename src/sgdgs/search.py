@@ -29,13 +29,7 @@ from .sgraph import (
     walk_key,
     walk_terms,
 )
-from .spectra import (
-    QClassification,
-    QRecovery,
-    classify_q,
-    is_controllable,
-    recover_q,
-)
+from .spectra import QClassification, QRecovery, classify_q, recover_q
 
 # free-tree counts for n = 1..10; pinned cross-check for the enumerator
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106)
@@ -175,17 +169,19 @@ def _recover_and_classify(g: SignedGraph, h: SignedGraph):
 
     Performed in part-sorted coordinates when both graphs are bipartite
     with equal parts (so block tags line up with the structure theorem),
-    in native vertex order otherwise.
+    in native vertex order otherwise; (None, None) when either graph is not
+    controllable.
     """
     a_blk, b_blk = _structure_coordinates(g), _structure_coordinates(h)
     if a_blk is not None and b_blk is not None:
         a, b, split = a_blk, b_blk, g.n // 2
     else:
         a, b, split = g.adjacency(), h.adjacency(), None
-    if not (is_controllable(a) and is_controllable(b)):
+    try:
+        recovery = recover_q(a, b)
+    except PreconditionError:  # a or b is not controllable
         return None, None
-    recovery = recover_q(a, b)
-    return recovery, classify_q(recovery.q, split=split)
+    return recovery, classify_q(recovery.scaled, recovery.level, split=split)
 
 
 def find_gc_mates(

@@ -7,7 +7,7 @@ Everything here is exact; there are no epsilon comparisons anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import NotBipartiteError, PreconditionError, SingularMatrixError
@@ -61,7 +61,12 @@ def are_generalized_cospectral(a: IntMatrix, b: IntMatrix) -> bool:
 
 @dataclass(frozen=True)
 class QRecovery:
-    """Q = W(A) W(B)^(-1) plus the three validity flags.
+    """Q = W(A) W(B)^(-1) as the integer pair (level, scaled), plus the
+    three validity flags.
+
+    level is Q's level, the least positive integer l with l Q integral (the
+    lcm of Q's denominators), and scaled = level * Q.  The pair is in
+    lowest terms, so equal conjugators give equal pairs.
 
     orthogonal and conjugates hold together exactly iff A and B are
     generalized cospectral, with the recovered Q as the unique regular
@@ -71,7 +76,8 @@ class QRecovery:
     controllable matrices.  It checks the solve.
     """
 
-    q: RatMatrix
+    level: int
+    scaled: IntMatrix
     orthogonal: bool
     regular: bool
     conjugates: bool
@@ -80,16 +86,25 @@ class QRecovery:
     def valid(self) -> bool:
         return self.orthogonal and self.regular and self.conjugates
 
+    @property
+    def q(self) -> RatMatrix:
+        """Q itself, as Fractions; built on each read."""
+        from fractions import Fraction
+
+        return RatMatrix([[Fraction(x, self.level) for x in row] for row in self.scaled.data])
+
 
 def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
     """Recover the candidate conjugator between controllable A and B.
 
     Q W_B = W_A, so the fraction-free solve of W_B^T (dQ)^T = d W_A^T gives
-    dQ = d Q as an integer matrix, d = det W_B.  The flags are checked on
-    dQ in integers, each scaled by d or d^2: (dQ)^T (dQ) = d^2 I, every row
-    of dQ sums to d, and (dQ)^T A (dQ) = d^2 B.  The row sums hold for any
-    exact solve (see QRecovery), so only the other two flags tell
-    cospectral pairs apart.  Fractions are built only for QRecovery.q.
+    dQ = d Q as an integer matrix, d = det W_B.  Dividing d and dQ by their
+    gcd g, with the sign of d, gives the lowest-terms pair: level = |d| / g
+    and scaled = sign(d) dQ / g.  The flags are checked on that pair in
+    integers, each scaled by level or level^2: scaled^T scaled = level^2 I,
+    every row of scaled sums to level, and scaled^T A scaled = level^2 B.
+    The row sums hold for any exact solve (see QRecovery), so only the
+    other two flags tell cospectral pairs apart.
     """
     if a.shape() != b.shape() or not a.is_square:
         raise PreconditionError("recover_q requires square matrices of equal size")
@@ -101,15 +116,26 @@ def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
         d, dq_t = solve(wb.T, wa.T)
     except SingularMatrixError:
         raise PreconditionError("second matrix is not controllable (det W = 0)") from None
-    dq = dq_t.T
-    n = a.rows
-    d2 = d * d
-    scaled_identity = IntMatrix([[d2 if i == j else 0 for j in range(n)] for i in range(n)])
-    orthogonal = dq_t @ dq == scaled_identity
-    regular = all(sum(row) == d for row in dq.data)
-    conjugates = dq_t @ a @ dq == IntMatrix([[d2 * x for x in row] for row in b.data])
-    q = RatMatrix([[Fraction(x, d) for x in row] for row in dq.data])
-    return QRecovery(q=q, orthogonal=orthogonal, regular=regular, conjugates=conjugates)
+    g = gcd(d, *(x for row in dq_t.data for x in row))
+    if d < 0:
+        g = -g
+    level = d // g
+    scaled = IntMatrix([[x // g for x in row] for row in dq_t.data]).T
+    l2 = level * level
+    return QRecovery(
+        level=level,
+        scaled=scaled,
+        orthogonal=_is_orthogonal(scaled, level),
+        regular=all(sum(row) == level for row in scaled.data),
+        conjugates=scaled.T @ a @ scaled == IntMatrix([[l2 * x for x in row] for row in b.data]),
+    )
+
+
+def _is_orthogonal(scaled: IntMatrix, level: int) -> bool:
+    """Q^T Q = I for Q = scaled / level: scaled^T scaled = level^2 I."""
+    n, l2 = scaled.rows, level * level
+    scaled_identity = IntMatrix([[l2 if i == j else 0 for j in range(n)] for i in range(n)])
+    return scaled.T @ scaled == scaled_identity
 
 
 # -- classification ---------------------------------------------------------------
@@ -117,11 +143,13 @@ def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
 
 @dataclass(frozen=True)
 class QClassification:
-    """Structural classification of a square rational matrix.
+    """Structural classification of a square rational matrix Q, given as
+    the integer pair (level, scaled) with scaled = level * Q.
 
     tag is the most specific label; the individual flags stay available so
     a permutation that also fits the bipartite block pattern can be
-    recognized as such.
+    recognized as such.  q1 and q2 are the diagonal (or anti-diagonal)
+    blocks of scaled, over the same level.
     """
 
     tag: str  # Permutation | SignedPermutation | BlockDiagonal | AntiBlockDiagonal | General
@@ -130,56 +158,64 @@ class QClassification:
     block_diagonal: Optional[bool] = None  # None when no split was given
     anti_block_diagonal: Optional[bool] = None
     split: Optional[int] = None
-    q1: Optional[RatMatrix] = None
-    q2: Optional[RatMatrix] = None
+    q1: Optional[IntMatrix] = None
+    q2: Optional[IntMatrix] = None
 
 
-def _is_signed_permutation(q: RatMatrix) -> tuple[bool, bool]:
-    """(signed_permutation, permutation)."""
-    n = q.rows
+def _require_level(level: int) -> None:
+    if level < 1:
+        raise PreconditionError(f"level must be a positive integer, got {level}")
+
+
+def _is_signed_permutation(scaled: IntMatrix, level: int) -> tuple[bool, bool]:
+    """(signed_permutation, permutation): one nonzero entry per row and per
+    column, each equal to +-level."""
+    n = scaled.rows
     col_used = [False] * n
     all_positive = True
-    for i in range(n):
-        nonzero = [(j, q.data[i][j]) for j in range(n) if q.data[i][j] != 0]
+    for row in scaled.data:
+        nonzero = [(j, x) for j, x in enumerate(row) if x != 0]
         if len(nonzero) != 1:
             return False, False
         j, val = nonzero[0]
-        if val not in (1, -1):
+        if val not in (level, -level):
             return False, False
         if col_used[j]:
             return False, False
         col_used[j] = True
-        if val != 1:
+        if val != level:
             all_positive = False
     return True, all_positive
 
 
-def _zero_block(q: RatMatrix, rows: range, cols: range) -> bool:
+def _zero_block(q: IntMatrix, rows: range, cols: range) -> bool:
     return all(q.data[i][j] == 0 for i in rows for j in cols)
 
 
-def _extract(q: RatMatrix, rows: range, cols: range) -> RatMatrix:
-    return RatMatrix([[q.data[i][j] for j in cols] for i in rows])
+def _extract(q: IntMatrix, rows: range, cols: range) -> IntMatrix:
+    return IntMatrix([[q.data[i][j] for j in cols] for i in rows])
 
 
-def classify_q(q: RatMatrix, split: Optional[int] = None) -> QClassification:
-    """Exact structural classification; block tags only with a given split."""
-    if not q.is_square:
+def classify_q(scaled: IntMatrix, level: int, split: Optional[int] = None) -> QClassification:
+    """Exact structural classification of Q = scaled / level; block tags
+    only with a given split."""
+    _require_level(level)
+    if not scaled.is_square:
         raise PreconditionError("classification requires a square matrix")
-    n = q.rows
-    signed_perm, perm = _is_signed_permutation(q)
+    n = scaled.rows
+    signed_perm, perm = _is_signed_permutation(scaled, level)
     block = anti = None
     q1 = q2 = None
     if split is not None:
         if not (0 < split < n):
             raise PreconditionError(f"split must lie strictly between 0 and {n}")
         top, bottom = range(split), range(split, n)
-        block = _zero_block(q, top, bottom) and _zero_block(q, bottom, top)
-        anti = _zero_block(q, top, top) and _zero_block(q, bottom, bottom)
+        block = _zero_block(scaled, top, bottom) and _zero_block(scaled, bottom, top)
+        anti = _zero_block(scaled, top, top) and _zero_block(scaled, bottom, bottom)
         if block:
-            q1, q2 = _extract(q, top, top), _extract(q, bottom, bottom)
+            q1, q2 = _extract(scaled, top, top), _extract(scaled, bottom, bottom)
         elif anti:
-            q1, q2 = _extract(q, top, bottom), _extract(q, bottom, top)
+            q1, q2 = _extract(scaled, top, bottom), _extract(scaled, bottom, top)
     if perm:
         tag = "Permutation"
     elif signed_perm:
@@ -202,13 +238,13 @@ def classify_q(q: RatMatrix, split: Optional[int] = None) -> QClassification:
     )
 
 
-def is_regular_orthogonal(q: RatMatrix) -> bool:
-    """Q^T Q = I and Qe = e, both exact."""
-    if not q.is_square:
+def is_regular_orthogonal(scaled: IntMatrix, level: int) -> bool:
+    """Q^T Q = I and Qe = e for Q = scaled / level, in integers: every row
+    of scaled sums to level."""
+    _require_level(level)
+    if not (scaled.is_square and _is_orthogonal(scaled, level)):
         return False
-    if (q.T @ q) != RatMatrix.identity(q.rows):
-        return False
-    return all(sum(row) == 1 for row in q.data)
+    return all(sum(row) == level for row in scaled.data)
 
 
 # -- structure theorem verification ------------------------------------------------
@@ -282,11 +318,11 @@ def verify_structure_theorem(g: SignedGraph, h: SignedGraph) -> StructureReport:
     except PreconditionError as exc:
         failures.append(str(exc))
         return StructureReport(failures=tuple(failures), split=split)
-    classification = classify_q(recovery.q, split=split)
+    classification = classify_q(recovery.scaled, recovery.level, split=split)
     q1_ok = q2_ok = None
     if classification.q1 is not None and classification.q2 is not None:
-        q1_ok = is_regular_orthogonal(classification.q1)
-        q2_ok = is_regular_orthogonal(classification.q2)
+        q1_ok = is_regular_orthogonal(classification.q1, recovery.level)
+        q2_ok = is_regular_orthogonal(classification.q2, recovery.level)
     return StructureReport(
         failures=tuple(failures),
         split=split,

@@ -4,9 +4,9 @@ Everything here is deliberately self-contained (own polynomial and
 determinant arithmetic) so a bug in the package cannot hide inside its
 own checker.  Intended scales are tiny: degree <= 6 polynomials, n <= 7
 matrices/graphs, Pruefer enumeration up to n = 8.  The Fraction
-Gauss-Jordan definitions of Q = W_A W_B^-1 and of the number-field
-eigenvector are the exception: they are what the integer paths replaced,
-and run up to n = 18.
+Gauss-Jordan definitions of Q = W_A W_B^-1, its Fraction classification
+and the number-field eigenvector are the exception: they are what the
+integer paths replaced, and run up to n = 18.
 """
 
 from __future__ import annotations
@@ -204,6 +204,60 @@ def walk_conjugator(a, b):
     regular = all(sum(row) == 1 for row in q)
     conjugates = mat_mul(mat_mul(qt, a), q) == [list(row) for row in b]
     return q, orthogonal, regular, conjugates
+
+
+def fraction_classify(q, split=None):
+    """Reference structural classification of a Fraction matrix (row
+    lists): {tag, is_permutation, is_signed_permutation, block_diagonal,
+    anti_block_diagonal, q1, q2}, with q1 and q2 the Fraction blocks."""
+    n = len(q)
+    nonzero = [[(j, x) for j, x in enumerate(row) if x != 0] for row in q]
+    signed = all(len(nz) == 1 and nz[0][1] in (1, -1) for nz in nonzero) and (
+        len({nz[0][0] for nz in nonzero}) == n
+    )
+    perm = signed and all(nz[0][1] == 1 for nz in nonzero)
+    block = anti = q1 = q2 = None
+    if split is not None:
+        top, bottom = range(split), range(split, n)
+
+        def zero(rows, cols):
+            return all(q[i][j] == 0 for i in rows for j in cols)
+
+        def part(rows, cols):
+            return [[q[i][j] for j in cols] for i in rows]
+
+        block = zero(top, bottom) and zero(bottom, top)
+        anti = zero(top, top) and zero(bottom, bottom)
+        if block:
+            q1, q2 = part(top, top), part(bottom, bottom)
+        elif anti:
+            q1, q2 = part(top, bottom), part(bottom, top)
+    if perm:
+        tag = "Permutation"
+    elif signed:
+        tag = "SignedPermutation"
+    elif block:
+        tag = "BlockDiagonal"
+    elif anti:
+        tag = "AntiBlockDiagonal"
+    else:
+        tag = "General"
+    return {
+        "tag": tag,
+        "is_permutation": perm,
+        "is_signed_permutation": signed,
+        "block_diagonal": block,
+        "anti_block_diagonal": anti,
+        "q1": q1,
+        "q2": q2,
+    }
+
+
+def fraction_regular_orthogonal(q):
+    """Q^T Q = I and Q e = e over the rationals."""
+    n = len(q)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return mat_mul(transpose(q), q) == identity and all(sum(row) == 1 for row in q)
 
 
 def _field_rem(a, phi):

@@ -23,7 +23,7 @@ from sgdgs.datasets import (
     remark2_printed_q,
 )
 from sgdgs.intpoly import is_irreducible
-from sgdgs.linalg import charpoly, complement_matrix
+from sgdgs.linalg import IntMatrix, charpoly, complement_matrix
 from sgdgs.numberfield import symbolic_eigenvector, verify_bipartite_eigen_properties
 from sgdgs.search import (
     all_signed_trees,
@@ -84,8 +84,8 @@ def test_criterion_2_remark1_reproduction(capsys):
     assert cert.s_squarefree is False
     rec = recover_q(a, b)
     assert rec.orthogonal and rec.regular and rec.conjugates
-    assert rec.q == remark1_printed_q()
-    assert classify_q(rec.q, split=9).tag == "BlockDiagonal"
+    assert (rec.level, rec.scaled) == remark1_printed_q()
+    assert classify_q(rec.scaled, rec.level, split=9).tag == "BlockDiagonal"
     assert are_isomorphic(g, h) is None
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -99,10 +99,11 @@ def test_criterion_3_remark2_reproduction(capsys):
     a, b = g.adjacency(), h.adjacency()
     assert charpoly(a) == charpoly(b) == remark2_printed_charpoly()
     assert is_controllable(a)
-    q = remark2_printed_q()
-    assert is_regular_orthogonal(q)
-    assert q.T @ a.to_rational() @ q == b.to_rational()
-    assert classify_q(q, split=9).tag == "General"
+    level, n = remark2_printed_q()
+    assert is_regular_orthogonal(n, level)
+    # N^T A N = 25 B for N = 5 Q
+    assert n.T @ a @ n == IntMatrix([[level**2 * x for x in row] for row in b.data])
+    assert classify_q(n, level, split=9).tag == "General"
     report = verify_structure_theorem(g, h)
     assert not report.passed
     assert any("reducible" in f for f in report.failures)
@@ -226,7 +227,7 @@ def test_criterion_6_planted_permutation_recovery(capsys):
         p = permutation_matrix(pi)
         rec = recover_q(a, p.T @ a @ p)
         assert rec.valid
-        assert rec.q == p.to_rational()
+        assert (rec.level, rec.scaled) == (1, p)
         recovered += 1
     elapsed = time.time() - start
     assert elapsed < 60.0

@@ -17,9 +17,13 @@ from sgdgs.datasets import (
     remark2_printed_charpoly,
     resolve_graph_spec,
 )
-from sgdgs.linalg import charpoly
+from sgdgs.linalg import IntMatrix, charpoly
 from sgdgs.sgraph import bipartite_adjacency, bipartition, is_tree
 from sgdgs.spectra import is_regular_orthogonal
+
+
+def _scaled(m, c):
+    return IntMatrix([[c * x for x in row] for row in m.data])
 
 
 def test_names_and_lookup():
@@ -53,9 +57,11 @@ def test_remark1_matrices_roundtrip():
 
 def test_remark1_printed_q_is_block_regular_orthogonal_conjugator():
     g, h = remark1_pair()
-    q = remark1_printed_q()
-    assert is_regular_orthogonal(q)
-    assert q.T @ g.adjacency().to_rational() @ q == h.adjacency().to_rational()
+    level, n = remark1_printed_q()
+    assert level == 7
+    assert is_regular_orthogonal(n, level)
+    # N^T A N = 49 B for N = 7 Q
+    assert n.T @ g.adjacency() @ n == _scaled(h.adjacency(), level**2)
 
 
 def test_remark2_graphs_and_printed_charpoly():
@@ -70,9 +76,11 @@ def test_remark2_graphs_and_printed_charpoly():
 
 def test_remark2_printed_q_conjugates():
     g, h = remark2_pair()
-    q = remark2_printed_q()
-    assert is_regular_orthogonal(q)
-    assert q.T @ g.adjacency().to_rational() @ q == h.adjacency().to_rational()
+    level, n = remark2_printed_q()
+    assert level == 5
+    assert is_regular_orthogonal(n, level)
+    # N^T A N = 25 B for N = 5 Q
+    assert n.T @ g.adjacency() @ n == _scaled(h.adjacency(), level**2)
 
 
 def test_resolve_graph_spec():

@@ -93,10 +93,10 @@ def _scaled(m, c):
 def test_solve_examples():
     i3 = IntMatrix.identity(3)
     assert solve(i3, i3) == (1, i3)
-    d, x = solve(IntMatrix([[2, 0], [0, 4]]), IntMatrix.identity(2))
-    assert d == 8
-    assert RatMatrix([[Fraction(v, d) for v in row] for row in x.data]) == parse_matrix(
-        "2 2\n1/2 0\n0 1/4"
+    # X / d = diag(1/2, 1/4)
+    assert solve(IntMatrix([[2, 0], [0, 4]]), IntMatrix.identity(2)) == (
+        8,
+        IntMatrix([[4, 0], [0, 2]]),
     )
     g, _ = remark1_pair()
     w = walk_matrix(g.adjacency())
@@ -159,8 +159,8 @@ def test_remark1_conjugation_by_printed_q():
     from sgdgs.datasets import remark1_printed_q
 
     g, h = remark1_pair()
-    q = remark1_printed_q()
-    assert q.T @ g.adjacency().to_rational() @ q == h.adjacency().to_rational()
+    level, n = remark1_printed_q()
+    assert n.T @ g.adjacency() @ n == _scaled(h.adjacency(), level**2)
 
 
 def test_matmul_dimension_error():

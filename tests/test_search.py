@@ -12,6 +12,7 @@ from sgdgs.linalg import charpoly, complement_matrix
 from sgdgs.search import (
     FREE_TREE_COUNTS,
     _check_spectrum_groups,
+    _recover_and_classify,
     _walk_key_groups,
     all_signed_trees,
     charpoly_classes,
@@ -105,6 +106,20 @@ def test_find_gc_mates_remark1():
     entry = report.mates[0]
     assert entry.recovery is not None and entry.recovery.valid
     assert entry.classification.tag == "BlockDiagonal"
+
+
+def test_recover_and_classify_needs_controllable_pair():
+    # star leaves have equal walk rows, so det W = 0: no Q, in native order
+    star = SignedGraph(5, ((1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1)))
+    relabelled = SignedGraph(5, ((1, 3, 1), (2, 3, 1), (3, 4, 1), (3, 5, 1)))
+    assert _recover_and_classify(star, relabelled) == (None, None)
+    # P4 has equal parts, so this pair runs in part-sorted coordinates
+    p4 = SignedGraph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1)))
+    assert _recover_and_classify(p4, p4) == (None, None)
+    g, h = remark1_pair()
+    recovery, classification = _recover_and_classify(g, h)
+    assert recovery.valid and recovery.level == 7
+    assert classification.tag == "BlockDiagonal" and classification.split == 9
 
 
 def test_find_gc_mates_rejects_different_spectrum():

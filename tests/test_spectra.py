@@ -2,7 +2,7 @@
 
 import importlib
 import random
-from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,7 +14,7 @@ from sgdgs.datasets import (
 )
 from sgdgs.errors import PreconditionError
 from sgdgs.intpoly import discriminant, is_irreducible
-from sgdgs.linalg import IntMatrix, RatMatrix, charpoly
+from sgdgs.linalg import IntMatrix, charpoly, det
 from sgdgs.numberfield import symbolic_eigenvector, verify_bipartite_eigen_properties
 from sgdgs.search import enumerate_signings, random_signing, random_tree
 from sgdgs.sgraph import (
@@ -39,6 +39,8 @@ from oracles import (
     cofactor_charpoly,
     field_length_equality,
     field_scaled,
+    fraction_classify,
+    fraction_regular_orthogonal,
     kernel_eigenvector,
     walk_conjugator,
 )
@@ -102,7 +104,7 @@ def test_recover_q_identity():
     rng = random.Random(21)
     a = random_controllable(rng, 6)
     rec = recover_q(a, a)
-    assert rec.valid and rec.q == RatMatrix.identity(6)
+    assert rec.valid and (rec.level, rec.scaled) == (1, IntMatrix.identity(6))
 
 
 def test_recover_q_planted_permutation():
@@ -116,14 +118,14 @@ def test_recover_q_planted_permutation():
         b = p.T @ a @ p
         rec = recover_q(a, b)
         assert rec.valid
-        assert rec.q == p.to_rational()
+        assert (rec.level, rec.scaled) == (1, p)
 
 
 def test_recover_q_remark1_printed():
     a, b = (g.adjacency() for g in remark1_pair())
     rec = recover_q(a, b)
     assert rec.orthogonal and rec.regular and rec.conjugates
-    assert rec.q == remark1_printed_q()
+    assert (rec.level, rec.scaled) == remark1_printed_q()
 
 
 def test_recover_q_diagnostics_on_non_cospectral():
@@ -155,9 +157,9 @@ def test_recover_q_uniqueness_against_planted():
         a = random_controllable(rng, n)
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
-        p = permutation_matrix(pi).to_rational()
-        rec = recover_q(a, (p.T @ a @ p).to_integer())
-        assert rec.q == p
+        p = permutation_matrix(pi)
+        rec = recover_q(a, p.T @ a @ p)
+        assert (rec.level, rec.scaled) == (1, p)
 
 
 def _planted_tree_pairs(rng, n, count):
@@ -176,10 +178,29 @@ def _planted_tree_pairs(rng, n, count):
 
 
 def _assert_matches_walk_conjugator(a, b):
+    """recover_q and classify_q (split n // 2) against the Fraction
+    oracles: the level is the lcm of Q's denominators, scaled = level Q,
+    and every flag and block equals the reference's."""
     rec = recover_q(a, b)
     q, orthogonal, regular, conjugates = walk_conjugator(a.to_lists(), b.to_lists())
+    level = lcm(*(x.denominator for row in q for x in row))
+    assert rec.level == level > 0
+    assert rec.scaled.to_lists() == [[level * x for x in row] for row in q]
     assert [list(row) for row in rec.q.data] == q
     assert (rec.orthogonal, rec.regular, rec.conjugates) == (orthogonal, regular, conjugates)
+    assert is_regular_orthogonal(rec.scaled, rec.level) == fraction_regular_orthogonal(q)
+    split = a.rows // 2
+    cls = classify_q(rec.scaled, rec.level, split=split)
+    ref = fraction_classify(q, split)
+    for field in ("tag", "is_permutation", "is_signed_permutation", "block_diagonal",
+                  "anti_block_diagonal"):
+        assert getattr(cls, field) == ref[field], field
+    for block, ref_block in ((cls.q1, ref["q1"]), (cls.q2, ref["q2"])):
+        if ref_block is None:
+            assert block is None
+            continue
+        assert block.to_lists() == [[level * x for x in row] for row in ref_block]
+        assert is_regular_orthogonal(block, level) == fraction_regular_orthogonal(ref_block)
     return rec
 
 
@@ -201,8 +222,10 @@ def test_recover_q_matches_fraction_oracle_on_cospectral_pairs():
     pairs += [
         (g.adjacency(), h.adjacency()) for g, h in _planted_tree_pairs(rng, 18, 4)
     ]
-    for a, b in pairs:
-        assert _assert_matches_walk_conjugator(a, b).valid
+    levels = [_assert_matches_walk_conjugator(a, b).level for a, b in pairs]
+    assert levels[:2] == [7, 5]  # remark1, remark2
+    assert all(rec_level == 1 for rec_level in levels[2:])
+    assert any(det(walk_matrix(b)) < 0 for _, b in pairs)
 
 
 def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
@@ -210,7 +233,7 @@ def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
     the Fraction oracle's, and conjugates must be false.  Regular holds for
     every recovered Q, since both walk matrices start with the column e."""
     rng = random.Random(28)
-    not_orthogonal = 0
+    not_orthogonal = negative_det = 0
     for _ in range(20):
         n = rng.randint(3, 7)
         a = random_controllable(rng, n)
@@ -218,11 +241,12 @@ def test_recover_q_matches_fraction_oracle_on_non_cospectral_pairs():
         if charpoly(a) == charpoly(b):
             continue
         rec = _assert_matches_walk_conjugator(a, b)
+        negative_det += det(walk_matrix(b)) < 0
         assert not rec.conjugates and rec.regular
         # regular holds although the pair is not cospectral: it is no evidence
         assert rec.regular and not (rec.orthogonal and rec.conjugates)
         not_orthogonal += not rec.orthogonal
-    assert not_orthogonal > 0
+    assert not_orthogonal > 0 and negative_det > 0
 
 
 def test_eigen_structure_matches_oracles():
@@ -263,31 +287,38 @@ def test_structure_complement_check_matches_generalized_spectrum_oracle():
 
 
 def test_classify_q_examples():
-    assert classify_q(RatMatrix.identity(4)).tag == "Permutation"
-    d = RatMatrix([[1, 0], [0, -1]])
-    cls = classify_q(d)
+    assert classify_q(IntMatrix.identity(4), 1).tag == "Permutation"
+    cls = classify_q(IntMatrix([[1, 0], [0, -1]]), 1)
     assert cls.tag == "SignedPermutation" and not cls.is_permutation
-    cls1 = classify_q(remark1_printed_q(), split=9)
+    assert classify_q(IntMatrix([[0, -3], [3, 0]]), 3).tag == "SignedPermutation"
+    # I / 3 is neither a permutation nor orthogonal
+    assert classify_q(IntMatrix.identity(2), 3).tag == "General"
+    assert not is_regular_orthogonal(IntMatrix.identity(2), 3)
+    level, scaled = remark1_printed_q()
+    cls1 = classify_q(scaled, level, split=9)
     assert cls1.tag == "BlockDiagonal"
-    assert is_regular_orthogonal(cls1.q1) and is_regular_orthogonal(cls1.q2)
-    cls2 = classify_q(remark2_printed_q(), split=9)
-    assert cls2.tag == "General"
+    assert is_regular_orthogonal(cls1.q1, level) and is_regular_orthogonal(cls1.q2, level)
+    level, scaled = remark2_printed_q()
+    assert classify_q(scaled, level, split=9).tag == "General"
+
+
+def test_classify_q_rejects_level_below_one():
+    # -I over level -1 is the identity, so only the level check rejects it
+    minus_identity = -IntMatrix.identity(2)
+    for level in (0, -1):
+        with pytest.raises(PreconditionError, match="level"):
+            classify_q(minus_identity, level)
+        with pytest.raises(PreconditionError, match="level"):
+            is_regular_orthogonal(minus_identity, level)
 
 
 def test_classify_q_anti_block():
-    q = RatMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-    cls = classify_q(q, split=2)
+    q = IntMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    cls = classify_q(q, 1, split=2)
     assert cls.anti_block_diagonal and cls.tag == "Permutation"
-    half = Fraction(1, 2)
-    anti = RatMatrix(
-        [
-            [0, 0, half, half],
-            [0, 0, half, -half],
-            [half, half, 0, 0],
-            [half, -half, 0, 0],
-        ]
-    )
-    assert classify_q(anti, split=2).tag == "AntiBlockDiagonal"
+    # (1/2) [[0, H], [H, 0]] with H = [[1, 1], [1, -1]]
+    anti = IntMatrix([[0, 0, 1, 1], [0, 0, 1, -1], [1, 1, 0, 0], [1, -1, 0, 0]])
+    assert classify_q(anti, 2, split=2).tag == "AntiBlockDiagonal"
 
 
 def test_verify_structure_remark1():
@@ -310,7 +341,7 @@ def test_verify_structure_remark2_reducible():
     # the recovered conjugator still exists and classifies General
     assert rep.recovery is not None and rep.recovery.valid
     assert rep.classification.tag == "General"
-    assert rep.recovery.q == remark2_printed_q()
+    assert (rep.recovery.level, rep.recovery.scaled) == remark2_printed_q()
 
 
 def test_verify_structure_non_bipartite():
@@ -373,7 +404,7 @@ def test_signed_permutation_oracle_when_disc_odd_squarefree():
             p = permutation_matrix(pi)
             rec = recover_q(gram, p.T @ gram @ p)
             assert rec.valid
-            assert classify_q(rec.q).is_signed_permutation
+            assert classify_q(rec.scaled, rec.level).is_signed_permutation
             hits += 1
     assert hits >= 9  # three certified trees, three plants each
 
