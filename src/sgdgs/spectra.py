@@ -120,22 +120,23 @@ def recover_q(a: IntMatrix, b: IntMatrix) -> QRecovery:
     if d < 0:
         g = -g
     level = d // g
-    scaled = IntMatrix([[x // g for x in row] for row in dq_t.data]).T
+    scaled_t = IntMatrix([[x // g for x in row] for row in dq_t.data])
+    scaled = scaled_t.T
     l2 = level * level
     return QRecovery(
         level=level,
         scaled=scaled,
-        orthogonal=_is_orthogonal(scaled, level),
+        orthogonal=_is_orthogonal(scaled_t, scaled, level),
         regular=all(sum(row) == level for row in scaled.data),
-        conjugates=scaled.T @ a @ scaled == IntMatrix([[l2 * x for x in row] for row in b.data]),
+        conjugates=scaled_t @ a @ scaled == IntMatrix([[l2 * x for x in row] for row in b.data]),
     )
 
 
-def _is_orthogonal(scaled: IntMatrix, level: int) -> bool:
+def _is_orthogonal(scaled_t: IntMatrix, scaled: IntMatrix, level: int) -> bool:
     """Q^T Q = I for Q = scaled / level: scaled^T scaled = level^2 I."""
     n, l2 = scaled.rows, level * level
     scaled_identity = IntMatrix([[l2 if i == j else 0 for j in range(n)] for i in range(n)])
-    return scaled.T @ scaled == scaled_identity
+    return scaled_t @ scaled == scaled_identity
 
 
 # -- classification ---------------------------------------------------------------
@@ -242,7 +243,7 @@ def is_regular_orthogonal(scaled: IntMatrix, level: int) -> bool:
     """Q^T Q = I and Qe = e for Q = scaled / level, in integers: every row
     of scaled sums to level."""
     _require_level(level)
-    if not (scaled.is_square and _is_orthogonal(scaled, level)):
+    if not (scaled.is_square and _is_orthogonal(scaled.T, scaled, level)):
         return False
     return all(sum(row) == level for row in scaled.data)
 

@@ -222,7 +222,9 @@ def test_recover_q_matches_fraction_oracle_on_cospectral_pairs():
     pairs += [
         (g.adjacency(), h.adjacency()) for g, h in _planted_tree_pairs(rng, 18, 4)
     ]
-    levels = [_assert_matches_walk_conjugator(a, b).level for a, b in pairs]
+    recs = [_assert_matches_walk_conjugator(a, b) for a, b in pairs]
+    assert all(rec.valid for rec in recs)
+    levels = [rec.level for rec in recs]
     assert levels[:2] == [7, 5]  # remark1, remark2
     assert all(rec_level == 1 for rec_level in levels[2:])
     assert any(det(walk_matrix(b)) < 0 for _, b in pairs)
