@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 
 from .errors import InternalInvariantError, UndefinedInputError
-from .factorint import factor_integer, first_primes
+from .factorint import first_primes
 
 
 class IntPolynomial:
@@ -470,18 +470,25 @@ def _gf_pow_mod(base, e, mod, p):
 
 
 def _gf_is_irreducible(f, p) -> bool:
-    """Rabin's test for monic f mod p."""
+    """Ben-Or's test for monic f mod p (Ben-Or, "Probabilistic algorithms
+    in finite fields", FOCS 1981).
+
+    h runs through x^(p^k) mod f for k = 1, ..., floor(n/2), and the test
+    fails at the first k with gcd(f, h - x) != 1.  It is exact:
+    x^(p^k) - x is the product of the monic irreducibles of degree
+    dividing k, and a reducible f of degree n has an irreducible factor of
+    degree at most n/2, so some k finds it; an irreducible f has no factor
+    of degree below n, so no k does.  A reducible f usually stops after
+    one or two Frobenius steps.
+    """
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
     x = [0, 1]
-    if _gf_trim(_gf_sub(_gf_pow_mod(x, p**n, f, p), x, p)):
-        return False
-    for q, _ in factor_integer(n).factors:
-        h = _gf_sub(_gf_pow_mod(x, p ** (n // q), f, p), x, p)
-        if len(_gf_gcd(f, h, p)) != 1:
+    h = x
+    for _ in range(n // 2):
+        h = _gf_pow_mod(h, p, f, p)
+        if len(_gf_gcd(f, _gf_sub(h, x, p), p)) != 1:
             return False
     return True
 
@@ -787,12 +794,17 @@ def is_irreducible(f: IntPolynomial, disc: int | None = None) -> IrreducibilityV
     spares recomputing it, here and in the factorization fallback.
 
     Fast path: f mod p irreducible for one of the first 25 usable primes
-    (odd, not dividing lc * disc) proves irreducibility.  The fast path is
-    skipped when no such prime can exist: when x divides f, or when f is
-    even with (-1)^(n/2) * f(0) * lc(f) a perfect square, as every tree
-    charpoly with a perfect matching is (see
-    _reducible_mod_every_odd_prime for the proof).  Otherwise, or after a
-    skip, the full integer factorization decides.
+    (odd, not dividing lc * disc) proves irreducibility, since p does not
+    divide lc and a factorization over Q would reduce to one mod p.  Each
+    prime is tried with Ben-Or's test (_gf_is_irreducible), which is exact
+    over F_p, so the proving prime is the first usable prime at which f is
+    irreducible; primes where f splits are usually left after one or two
+    Frobenius steps.  The fast path is skipped when no such prime can
+    exist: when x divides f, or when f is even with
+    (-1)^(n/2) * f(0) * lc(f) a perfect square, as every tree charpoly with
+    a perfect matching is (see _reducible_mod_every_odd_prime for the
+    proof).  Otherwise, or after a skip, the full integer factorization
+    decides.
     """
     if f.is_zero():
         raise UndefinedInputError("irreducibility of the zero polynomial")

@@ -148,6 +148,13 @@ def verify_bipartite_eigen_properties(g: SignedGraph) -> BipartiteEigenReport:
     The length equality is checked in its squared, field-expressible form:
     with w = M^T u and alpha = lambda^2 the generator, w^T w = alpha u^T u,
     which is exactly ||u|| = ||v|| for v = w / lambda.
+
+    psi = charpoly(MM^T) needs no irreducibility test of its own once phi
+    has been proven irreducible (parts larger than 1), phi(x) = psi(x^2)
+    (even_structure) and charpoly(M^T M) = psi (gram_charpolys_equal): a
+    factorization psi = g*h into factors of degree >= 1 would give
+    phi = g(x^2)*h(x^2), into factors of degree >= 2.  Otherwise psi is
+    tested.  symbolic_eigenvector still proves its own precondition.
     """
     failures: list[str] = []
     try:
@@ -169,9 +176,11 @@ def verify_bipartite_eigen_properties(g: SignedGraph) -> BipartiteEigenReport:
     phi_left = charpoly(gram_left)
     phi_right = charpoly(gram_right)
     charpolys_equal = phi_left == phi_right
-    verdict = is_irreducible(phi_left)
-    irreducible = verdict.irreducible
     even_structure = phi == phi_right.compose_x_squared()
+    if len(b.left) > 1 and even_structure and charpolys_equal:
+        irreducible = True  # phi(x) = phi_left(x^2), proven irreducible above
+    else:
+        irreducible = is_irreducible(phi_left).irreducible
     eig_ok = length_ok = None
     if irreducible:
         eig = symbolic_eigenvector(gram_left, phi_left)

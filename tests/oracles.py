@@ -6,7 +6,8 @@ own checker.  Intended scales are tiny: degree <= 6 polynomials, n <= 7
 matrices/graphs, Pruefer enumeration up to n = 8.  The Fraction
 Gauss-Jordan definitions of Q = W_A W_B^-1, its Fraction classification
 and the number-field eigenvector are the exception: they are what the
-integer paths replaced, and run up to n = 18.
+integer paths replaced, and run up to n = 18.  So is Rabin's test mod p,
+which Ben-Or's test replaced, run up to degree 12 and p < 200.
 """
 
 from __future__ import annotations
@@ -412,6 +413,63 @@ def brute_force_monic_factor(f):
             if _divides(f, g):
                 return g
     return None
+
+
+# -- Rabin's irreducibility test mod p (monic, small p and degree) ------------------
+
+
+def _fp_rem(a, b, p):
+    """a mod b over F_p, b with a nonzero leading coefficient mod p."""
+    r = [c % p for c in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    for k in range(len(r) - 1, db - 1, -1):
+        coef = r[k] * inv % p
+        if coef:
+            for j, bc in enumerate(b):
+                r[k - db + j] = (r[k - db + j] - coef * bc) % p
+    return p_trim(r[:db])
+
+
+def _fp_gcd_degree(a, b, p):
+    a, b = p_trim([c % p for c in a]), p_trim([c % p for c in b])
+    while b:
+        a, b = b, _fp_rem(a, b, p)
+    return len(a) - 1
+
+
+def _fp_frobenius_minus_x(k, f, p):
+    """x^(p^k) - x mod the monic f over F_p, by square-and-multiply."""
+    e, result, base = p**k, [1], _fp_rem([0, 1], f, p)
+    while e:
+        if e & 1:
+            result = _fp_rem(p_mul(result, base), f, p)
+        base = _fp_rem(p_mul(base, base), f, p)
+        e >>= 1
+    return _fp_rem(p_add(result, [0, -1]), f, p)
+
+
+def rabin_is_irreducible(f, p):
+    """Rabin's test (SIAM J. Comput. 9, 1980), the slow definition of
+    intpoly._gf_is_irreducible: a monic f of degree n is irreducible mod p
+    iff x^(p^n) = x mod f and gcd(f, x^(p^(n/q)) - x) = 1 for every prime
+    q dividing n.  It always computes x^(p^n) in full."""
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if _fp_frobenius_minus_x(n, f, p):
+        return False
+    m, q = n, 2
+    while m > 1:
+        if m % q == 0:
+            if _fp_gcd_degree(f, _fp_frobenius_minus_x(n // q, f, p), p) != 0:
+                return False
+            while m % q == 0:
+                m //= q
+        q += 1
+    return True
 
 
 # -- graph oracles -----------------------------------------------------------------

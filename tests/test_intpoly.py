@@ -27,11 +27,13 @@ from sgdgs.intpoly import (
     squarefree_part,
 )
 from sgdgs.linalg import charpoly
-from sgdgs.search import enumerate_trees
+from sgdgs.search import decode_pruefer, enumerate_trees
+from sgdgs.sgraph import SignedGraph
 
 from oracles import (
     brute_force_monic_factor,
     poly_from_roots,
+    rabin_is_irreducible,
     root_product_discriminant,
     sylvester_resultant,
 )
@@ -135,6 +137,61 @@ def test_rabin_test_counts_match_gauss_formula():
                 f = [(low // p**i) % p for i in range(n)] + [1]
                 count += intpoly._gf_is_irreducible(f, p)
             assert count == expected, (p, n)
+
+
+def _gauss_sweep():
+    """Every monic polynomial of degree n over F_p, for p = 2 (n <= 9),
+    3 (n <= 6) and 5 (n <= 4)."""
+    for p, top in ((2, 9), (3, 6), (5, 4)):
+        for n in range(1, top + 1):
+            for low in range(p**n):
+                yield [(low // p**i) % p for i in range(n)] + [1], p
+
+
+def test_gf_is_irreducible_matches_rabin_oracle_on_gauss_sweep():
+    checked = irreducible = 0
+    for f, p in _gauss_sweep():
+        verdict = intpoly._gf_is_irreducible(f, p)
+        assert verdict == rabin_is_irreducible(f, p), (f, p)
+        checked += 1
+        irreducible += verdict
+    assert checked == (2**10 - 2) + (3**7 - 3) // 2 + (5**5 - 5) // 4
+    assert 0 < irreducible < checked
+
+
+def _random_dense_polys():
+    rng = random.Random(2024)
+    for _ in range(120):
+        deg = rng.randint(2, 12)
+        yield IntPolynomial([rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((1, 1, 2, -3))])
+
+
+def _pruefer_psis():
+    """psi with phi(x) = psi(x^2) for 200 seeded Pruefer trees with a perfect
+    matching (phi(0) != 0), n even, 4 <= n <= 18."""
+    rng = random.Random(1981)
+    out = []
+    while len(out) < 200:
+        n = rng.randrange(4, 19, 2)
+        edges = decode_pruefer([rng.randint(1, n) for _ in range(n - 2)])
+        phi = charpoly(SignedGraph(n, tuple((u, v, 1) for u, v in edges)).adjacency())
+        if phi.coefficient(0):
+            out.append(IntPolynomial(phi.coeffs[::2]))
+    return out
+
+
+def test_is_irreducible_verdicts_unchanged_under_rabin_oracle(monkeypatch):
+    """The kernel is exact, so is_irreducible stops at the same prime with
+    either test: (status, method, prime, witness) are equal input by input."""
+    inputs = list(_random_dense_polys()) + _pruefer_psis()
+    fast = [is_irreducible(f) for f in inputs]
+    monkeypatch.setattr(intpoly, "_gf_is_irreducible", rabin_is_irreducible)
+    slow = [is_irreducible(f) for f in inputs]
+    for f, a, b in zip(inputs, fast, slow):
+        assert a == b, (f, a, b)
+    methods = {v.method for v in fast}
+    assert {"mod-p", "factorization"} <= methods
+    assert any(v.method == "mod-p" and v.prime > 3 for v in fast)
 
 
 def test_reducible_witness_divides():

@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from sgdgs.datasets import remark1_matrices, remark1_pair
+from sgdgs import numberfield
+from sgdgs.datasets import remark1_matrices, remark1_pair, remark2_pair
 from sgdgs.errors import PreconditionError
 from sgdgs.intpoly import IntPolynomial
 from sgdgs.intpoly import is_irreducible
 from sgdgs.linalg import IntMatrix, charpoly, solve
 from sgdgs.numberfield import symbolic_eigenvector, verify_bipartite_eigen_properties
-from sgdgs.sgraph import SignedGraph
+from sgdgs.search import enumerate_trees
+from sgdgs.sgraph import SignedGraph, bipartite_adjacency, bipartition
 from sgdgs.spectra import are_generalized_cospectral
 
 from oracles import field_eigen_equation, field_scaled, kernel_eigenvector
@@ -112,6 +114,76 @@ def test_verify_bipartite_eigen_properties_examples():
     rep4 = verify_bipartite_eigen_properties(p4)
     assert not rep4.passed
     assert any("reducible" in f for f in rep4.failures)
+
+
+def _gram_psi(g):
+    """charpoly(MM^T) of a bipartite g with equal parts."""
+    m = bipartite_adjacency(g, bipartition(g))
+    return charpoly(m @ m.T)
+
+
+def _equal_part_trees(top):
+    for n in range(2, top + 1, 2):
+        for tree in enumerate_trees(n).trees:
+            b = bipartition(tree)
+            if len(b.left) == len(b.right):
+                yield tree
+
+
+def _psi_flag_matches_its_test(g) -> bool:
+    """gram_charpoly_irreducible reads what testing psi reads; returns
+    whether the report got that far (no early reducible-phi failure)."""
+    rep = verify_bipartite_eigen_properties(g)
+    if rep.failures:
+        assert rep.failures == ("characteristic polynomial is reducible",)
+        assert rep.gram_charpoly_irreducible is None
+        assert not is_irreducible(charpoly(g.adjacency())).irreducible
+        return False
+    assert rep.gram_charpoly_irreducible == is_irreducible(_gram_psi(g)).irreducible
+    return True
+
+
+def test_gram_charpoly_flag_matches_testing_psi():
+    """The flag is derived from phi's proof when phi(x) = psi(x^2); it must
+    equal is_irreducible(psi) on K2, remark1-a, every tree with n <= 12 and
+    equal parts, and keep remark2-a's early failure."""
+    assert _psi_flag_matches_its_test(SignedGraph(2, ((1, 2, 1),)))
+    assert _psi_flag_matches_its_test(remark1_pair()[0])
+    assert not _psi_flag_matches_its_test(remark2_pair()[0])
+    reached = sum(_psi_flag_matches_its_test(tree) for tree in _equal_part_trees(12))
+    assert reached > 0
+
+
+def test_gram_charpoly_flag_needs_even_structure(monkeypatch):
+    """With phi swapped for x^n - 2, irreducible by Eisenstein and equal to
+    no tree's psi(x^2) (psi(0) = +-1 or 0), even_structure reads False, so
+    psi must be tested rather than derived, and reducible psi must show."""
+    real = numberfield.charpoly
+    x = IntPolynomial.x()
+    verdicts = []
+    for tree in _equal_part_trees(12):
+        fake = x**tree.n - 2
+        monkeypatch.setattr(numberfield, "charpoly", lambda a: fake if a.rows == tree.n else real(a))
+        rep = verify_bipartite_eigen_properties(tree)
+        assert rep.failures == () and rep.even_structure is False
+        verdicts.append(rep.gram_charpoly_irreducible)
+        assert verdicts[-1] == is_irreducible(_gram_psi(tree)).irreducible
+    assert True in verdicts and False in verdicts
+
+
+def test_bipartite_eigen_properties_proves_psi_once(monkeypatch):
+    """remark1-a makes two irreducibility tests: phi, then psi once, as the
+    precondition of symbolic_eigenvector."""
+    calls = []
+
+    def counting(f, disc=None):
+        calls.append(f)
+        return is_irreducible(f, disc)
+
+    monkeypatch.setattr(numberfield, "is_irreducible", counting)
+    g, _ = remark1_pair()
+    assert verify_bipartite_eigen_properties(g).passed
+    assert calls == [charpoly(g.adjacency()), _gram_psi(g)]
 
 
 def test_resolvent_identity_for_cospectral_pair():

@@ -1,15 +1,18 @@
 """Property tests (hypothesis): walk terms of signed trees from switching
-vectors against dense e^T A^k e."""
+vectors against dense e^T A^k e, and the mod-p irreducibility kernel
+against Rabin's test."""
 
 from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdgs import intpoly
+from sgdgs.factorint import first_primes
 from sgdgs.search import _switching_order, _switching_vector, decode_pruefer
 from sgdgs.sgraph import SignedGraph, walk_key, walk_terms
 
-from oracles import dense_walk_counts
+from oracles import dense_walk_counts, rabin_is_irreducible
 
 
 @st.composite
@@ -31,3 +34,21 @@ def test_switching_vector_walk_terms_equal_signed_walk_counts(g):
     counts = dense_walk_counts(g.adjacency().to_lists(), g.n + 2)
     assert list(islice(walk_terms(g.underlying().edges, x), g.n + 1)) == counts[1:]
     assert walk_key(g) == tuple(counts[: g.n])
+
+
+@st.composite
+def monic_polys_mod_odd_prime(draw):
+    """(f, p): p an odd prime below 200, where is_irreducible's 25 mod-p
+    attempts fall unless many primes divide lc * disc, and f a random
+    monic polynomial of degree <= 12 over F_p."""
+    p = draw(st.sampled_from(first_primes(46)[1:]))  # 3, 5, ..., 199
+    n = draw(st.integers(min_value=1, max_value=12))
+    low = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=n, max_size=n))
+    return low + [1], p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(monic_polys_mod_odd_prime())
+def test_gf_is_irreducible_matches_rabin_oracle(fp):
+    f, p = fp
+    assert intpoly._gf_is_irreducible(f, p) == rabin_is_irreducible(f, p)
