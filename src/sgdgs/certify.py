@@ -158,8 +158,9 @@ def certify_tree(g: SignedGraph) -> DgsCertificate:
     phi = charpoly(g.adjacency())
     cert = certify_from_charpoly(phi)
     cert = replace(cert, cross_check=_bipartite_cross_check(g, cert.delta))
-    if cert.irreducible.irreducible and abs(phi.coefficient(0)) != 1:
-        # trees with irreducible charpoly have constant term +-1
+    if g.n >= 2 and cert.irreducible.irreducible and abs(phi.coefficient(0)) != 1:
+        # trees of order n >= 2 with irreducible charpoly have constant term
+        # +-1; the one-vertex tree's charpoly x is irreducible
         raise InternalInvariantError(
             f"irreducible tree charpoly with constant term {phi.coefficient(0)}"
         )

@@ -24,7 +24,7 @@ from .search import (
     exhaustive_dgs_check,
     find_gc_mates,
 )
-from .sgraph import SignedGraph, format_sg, is_balanced, read_sg, write_sg
+from .sgraph import SignedGraph, format_sg, has_perfect_matching, is_balanced, read_sg, write_sg
 from .spectra import classify_q, recover_q, verify_structure_theorem, walk_matrix
 
 DEFAULT_MAX_N = 10
@@ -273,6 +273,12 @@ def _cmd_exhaustive_check(args) -> int:
     reports = {}
     results = []
     for tree in enumerate_trees(n).trees:
+        # a tree without a perfect matching is never certified: for odd n it
+        # has odd order, and for n >= 2 its charpoly is its matching
+        # polynomial, whose constant term is +-(number of perfect matchings)
+        # = 0, so x divides phi properly and phi is reducible
+        if not has_perfect_matching(tree):
+            continue
         cert = certify_tree(tree)
         if not cert.certified:
             continue

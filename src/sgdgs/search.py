@@ -5,7 +5,10 @@ deduplication (exhaustive: every tree on k+1 vertices arises by attaching
 a leaf to a tree on k vertices).  The exhaustive spectral-determinacy
 check buckets all signings of all candidate trees by their generalized
 spectrum; a certified tree passes when every bucket is isomorphism-
-homogeneous.
+homogeneous.  Only trees with a perfect matching can be certified or be
+cospectral with a certified tree (a tree's charpoly is its matching
+polynomial, so phi(0) = +-(number of perfect matchings)), so the charpoly
+classes hold those trees alone.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .sgraph import (
     SignedGraph,
     are_isomorphic,
     bipartition,
+    has_perfect_matching,
     is_tree,
     part_sorted_adjacency,
     tree_canonical_form,
@@ -88,12 +92,16 @@ def _signing(tree: SignedGraph, bits: int) -> SignedGraph:
 
 
 def charpoly_classes(n: int) -> dict[IntPolynomial, tuple[SignedGraph, ...]]:
-    """The pool of order n grouped by adjacency charpoly, pool order kept;
-    one charpoly per tree, computed once per n."""
+    """The pool trees of order n with a perfect matching, grouped by
+    adjacency charpoly, pool order kept; one charpoly per tree, computed
+    once per n.  Every other pool tree has phi(0) = 0, and phi(0) is a
+    spectral invariant, so no class with phi(0) != 0 (such as a certified
+    tree's) misses a tree."""
     if n not in _CHARPOLY_CLASSES:
         classes: dict[IntPolynomial, list[SignedGraph]] = {}
         for t in enumerate_trees(n).trees:
-            classes.setdefault(charpoly(t.adjacency()), []).append(t)
+            if has_perfect_matching(t):
+                classes.setdefault(charpoly(t.adjacency()), []).append(t)
         _CHARPOLY_CLASSES[n] = {phi: tuple(ts) for phi, ts in classes.items()}
     return _CHARPOLY_CLASSES[n]
 
@@ -378,7 +386,9 @@ def exhaustive_dgs_check(tree: SignedGraph) -> ExhaustiveCheckReport:
     Candidates are the pool trees cospectral with the input (all signings
     of a tree share its adjacency charpoly, so nothing else can be
     generalized cospectral with a signing of it), read off
-    charpoly_classes; their signings are bucketed by walk key, which on a
+    charpoly_classes: a certified phi has phi(0) = +-1, so every tree
+    cospectral with the input has a perfect matching and is in its class.
+    Their signings are bucketed by walk key, which on a
     common charpoly is equivalent to the complement charpoly (see
     sgraph.walk_key), and every bucket must consist of pairwise-isomorphic
     signed trees.

@@ -298,6 +298,37 @@ def require_tree(g: SignedGraph):
         raise NotTreeError(f"underlying graph is not a tree (n={g.n}, m={g.m})")
 
 
+def has_perfect_matching(g: SignedGraph) -> bool:
+    """Whether a tree has a perfect matching (a tree has at most one).
+
+    Greedy leaf matching, O(n) and exact on trees: a leaf can only be
+    matched to its one neighbour, so match the two, delete both, and go on
+    with the forest that is left.  A vertex with no neighbour left can
+    never be matched.  Every vertex is stacked once it has at most one
+    neighbour left, and a nonempty forest has such a vertex, so the loop
+    ends only when every vertex is matched.
+    """
+    require_tree(g)
+    adj = g.neighbor_lists()
+    degree = [len(nbrs) for nbrs in adj]  # unmatched neighbours
+    matched = [False] * (g.n + 1)
+    leaves = [v for v in range(1, g.n + 1) if degree[v] <= 1]
+    while leaves:
+        v = leaves.pop()
+        if matched[v]:
+            continue
+        mate = next((u for u, _ in adj[v] if not matched[u]), None)
+        if mate is None:
+            return False
+        matched[v] = matched[mate] = True
+        for w, _ in adj[mate]:
+            if not matched[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    return True
+
+
 # -- canonical form and isomorphism ----------------------------------------------
 
 

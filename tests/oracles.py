@@ -7,14 +7,17 @@ matrices/graphs, Pruefer enumeration up to n = 8.  The Fraction
 Gauss-Jordan definitions of Q = W_A W_B^-1, its Fraction classification
 and the number-field eigenvector are the exception: they are what the
 integer paths replaced, and run up to n = 18.  So is Rabin's test mod p,
-which Ben-Or's test replaced, run up to degree 12 and p < 200.
+which Ben-Or's test replaced, run up to degree 12 and p < 200, and the
+perfect-matching search over edge subsets, run up to n = 18.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 # -- tiny dense polynomial helpers (ascending int lists) -------------------------
 
@@ -523,6 +526,32 @@ def _unsigned_canonical(n, edges):
         return enc(layer[0], 0)
     c1, c2 = sorted(layer)
     return tuple(sorted([enc(c1, c2), enc(c2, c1)]))
+
+
+def _covered(edge_masks):
+    return reduce(or_, edge_masks, 0)
+
+
+def brute_force_has_perfect_matching(n, edges):
+    """Whether some n/2 of the edges (u, v, ...) cover all n vertices, by
+    search over edge subsets (n <= 18)."""
+    if n % 2:
+        return False
+    masks = [(1 << e[0]) | (1 << e[1]) for e in edges]
+    every = sum(1 << v for v in range(1, n + 1))
+    return any(_covered(c) == every for c in combinations(masks, n // 2))
+
+
+def matching_polynomial(n, edges):
+    """sum_k (-1)^k m_k x^(n-2k), ascending, with m_k the number of k-edge
+    matchings counted over edge subsets; a forest's adjacency charpoly
+    (Sachs), for n <= 10."""
+    masks = [(1 << e[0]) | (1 << e[1]) for e in edges]
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        m_k = sum(bin(_covered(c)).count("1") == 2 * k for c in combinations(masks, k))
+        coeffs[n - 2 * k] = (-1) ** k * m_k
+    return tuple(coeffs)
 
 
 def prufer_free_tree_count(n):

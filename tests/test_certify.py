@@ -66,6 +66,13 @@ def test_certify_small_trees():
     assert not cert3.certified and "odd order" in cert3.verdict
 
 
+def test_certify_one_vertex_tree():
+    # phi = x is irreducible, but the +-1 constant term holds only for n >= 2
+    cert = certify_tree(SignedGraph(1, ()))
+    assert cert.charpoly == IntPolynomial([0, 1]) and cert.irreducible.irreducible
+    assert cert.verdict == "Not-Certified(odd order)"
+
+
 def test_certify_remark1_underlying_tree():
     g, _ = remark1_pair()
     cert = certify_tree(g.underlying())

@@ -191,9 +191,10 @@ def test_exhaustive_check_within_guard(capsys):
 
 def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     """The pinned n = 14 census: 36 certified trees in 31 charpoly classes.
-    Each tree is certified once by the CLI and each class once more by
-    exhaustive_dgs_check (3,159 + 31 calls), and each class's signings are
-    bucketed once: 36 candidate trees x 2^13 signings."""
+    Only the 180 trees with a perfect matching are certified by the CLI,
+    and each class once more by exhaustive_dgs_check (180 + 31 calls), and
+    each class's signings are bucketed once: 36 candidate trees x 2^13
+    signings."""
     import sgdgs.cli as cli_mod
     import sgdgs.search as search_mod
 
@@ -219,9 +220,20 @@ def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a8afd8e1e2afaabae98bb690d47dc75509ebcca0b2d452205cb506db463ca3c3"
     )
-    assert len(certify_calls) == 3190
+    assert len(certify_calls) == 211
     assert len(signings) == 294_912
     assert elapsed < 60.0
+
+
+def test_one_vertex_tree_exit_0(capsys, tmp_path):
+    path = tmp_path / "one.sg"
+    path.write_text("1 0\n")
+    code, out, _ = run(capsys, "certify", str(path))
+    assert code == 0
+    assert "verdict          : Not-Certified(odd order)" in out
+    code, out, _ = run(capsys, "exhaustive-check", "--n", "1", "--max-n", "1")
+    assert code == 0
+    assert out == "no certified trees on 1 vertices; nothing to check\n"
 
 
 def test_max_n_env_mirror(capsys, monkeypatch):

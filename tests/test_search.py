@@ -26,6 +26,7 @@ from sgdgs.search import (
 from sgdgs.sgraph import (
     SignedGraph,
     are_isomorphic,
+    has_perfect_matching,
     is_balanced,
     is_tree,
     tree_canonical_form,
@@ -33,7 +34,7 @@ from sgdgs.sgraph import (
 )
 from sgdgs.spectra import are_generalized_cospectral
 
-from oracles import full_key_groups, prufer_free_tree_count
+from oracles import full_key_groups, matching_polynomial, prufer_free_tree_count
 
 
 def test_pool_counts_match_free_tree_sequence():
@@ -214,24 +215,61 @@ def test_walk_key_buckets_match_complement_charpoly_buckets():
 
 
 def test_charpoly_classes_partition_the_pool_in_pool_order():
+    """The classes partition the pool trees with a perfect matching, in pool
+    order; every other pool tree has phi(0) = 0, so no class with
+    phi(0) != 0 misses one."""
     for n in range(1, 11):
         pool = enumerate_trees(n).trees
+        screened = [t for t in pool if has_perfect_matching(t)]
         classes = charpoly_classes(n)
-        assert sorted(t.edges for ts in classes.values() for t in ts) == sorted(t.edges for t in pool)
+        assert sorted(t.edges for ts in classes.values() for t in ts) == sorted(
+            t.edges for t in screened
+        )
         for phi, trees in classes.items():
+            assert phi.coefficient(0) != 0
             assert all(charpoly(t.adjacency()) == phi for t in trees)
             assert list(trees) == [t for t in pool if t in trees]
+        assert all(
+            charpoly(t.adjacency()).coefficient(0) == 0 for t in pool if t not in screened
+        )
+
+
+def test_perfect_matching_screen_is_charpoly_constant_term():
+    """A tree has a perfect matching iff phi(0) != 0, on every pool tree
+    with n <= 14; 15, 49 and 180 of them have one at n = 10, 12, 14."""
+    matched = {}
+    for n in range(1, 15):
+        for t in enumerate_trees(n).trees:
+            screen = has_perfect_matching(t)
+            assert screen == (charpoly(t.adjacency()).coefficient(0) != 0), t
+            matched[n] = matched.get(n, 0) + screen
+    assert (matched[10], matched[12], matched[14]) == (15, 49, 180)
+
+
+def test_no_tree_without_perfect_matching_is_certified():
+    certified = 0
+    for n in range(1, 13):
+        for t in enumerate_trees(n).trees:
+            if certify_tree(t).certified:
+                assert has_perfect_matching(t), t
+                certified += 1
+    assert certified == 6  # 3 at n = 10 and 3 at n = 12
 
 
 def test_walk_key_refinement_matches_full_key_dict():
-    """Term-by-term refinement on every charpoly class of trees with n <= 10
-    against the dict of full walk keys filled in stream order: the same
-    number of buckets, and the same multi-member buckets with the same
-    keys, members, member order and bucket order."""
+    """Term-by-term refinement on every charpoly class of the whole pools
+    with n <= 10 against the dict of full walk keys filled in stream order:
+    the same number of buckets, and the same multi-member buckets with the
+    same keys, members, member order and bucket order.  The classes come
+    from the oracle's matching polynomial, not charpoly_classes: no two
+    trees with a perfect matching and n <= 10 are cospectral."""
     shared_classes = 0
     multi_bucket_classes = 0
     for n in range(1, 11):
-        for trees in charpoly_classes(n).values():
+        classes = full_key_groups(
+            enumerate_trees(n).trees, lambda t: matching_polynomial(t.n, t.edges)
+        )
+        for trees in classes.values():
             count, groups = _walk_key_groups(trees)
             oracle = full_key_groups(
                 (g for t in trees for g in enumerate_signings(t)), walk_key

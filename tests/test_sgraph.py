@@ -9,6 +9,7 @@ from sgdgs.datasets import remark1_matrices, remark1_pair
 from sgdgs.errors import NotBipartiteError, NotTreeError
 from sgdgs.intpoly import IntPolynomial
 from sgdgs.linalg import IntMatrix, charpoly, complement_matrix
+from sgdgs.search import enumerate_trees, random_tree
 from sgdgs.sgraph import (
     Bipartition,
     SignedGraph,
@@ -17,6 +18,7 @@ from sgdgs.sgraph import (
     bipartition,
     format_sg,
     from_bipartite_adjacency,
+    has_perfect_matching,
     is_balanced,
     parse_sg,
     permutation_matrix,
@@ -27,7 +29,7 @@ from sgdgs.sgraph import (
     walk_terms,
 )
 
-from oracles import brute_force_isomorphism, dense_walk_counts
+from oracles import brute_force_has_perfect_matching, brute_force_isomorphism, dense_walk_counts
 
 
 def path_graph(n, signs=None):
@@ -313,3 +315,21 @@ def test_walk_key_matches_dense_oracle_on_cyclic_graphs():
         assert walk_key(g) == tuple(counts[: g.n])
         e = [0] + [1] * g.n
         assert list(islice(walk_terms(g.edges, e), 2 * g.n - 1)) == counts[1:]
+
+
+def test_has_perfect_matching_requires_tree():
+    # a forest with a perfect matching is still not a tree
+    for g in (triangle(), SignedGraph(4, ((1, 2, 1), (3, 4, 1)))):
+        with pytest.raises(NotTreeError):
+            has_perfect_matching(g)
+
+
+def test_has_perfect_matching_matches_brute_force_oracle():
+    """Every tree with n <= 10, and seeded Pruefer trees (random labels) up
+    to n = 18, against a search over edge subsets."""
+    rng = random.Random(16)
+    sampled = [random_tree(rng.randint(11, 18), rng) for _ in range(150)]
+    trees = [t for n in range(1, 11) for t in enumerate_trees(n).trees] + sampled
+    verdicts = [brute_force_has_perfect_matching(t.n, t.edges) for t in trees]
+    assert [has_perfect_matching(t) for t in trees] == verdicts
+    assert sum(verdicts[-len(sampled):]) > 0 and not all(verdicts)
