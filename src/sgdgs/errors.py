@@ -29,12 +29,13 @@ class NotBipartiteError(SgdgsError, ValueError):
         self.odd_walk = tuple(odd_walk)
 
 
-class NotTreeError(SgdgsError, ValueError):
-    """Underlying graph is not a tree."""
-
-
 class PreconditionError(SgdgsError, ValueError):
     """A documented operation precondition does not hold."""
+
+
+class NotTreeError(PreconditionError):
+    """Underlying graph is not a tree (the precondition of every tree
+    operation)."""
 
 
 class ResourceGuardError(SgdgsError, RuntimeError):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .certify import certify_tree
@@ -29,6 +31,7 @@ from .sgraph import (
     has_perfect_matching,
     is_tree,
     part_sorted_adjacency,
+    require_tree,
     tree_canonical_form,
     walk_key,
     walk_terms,
@@ -76,19 +79,39 @@ def enumerate_trees(n: int) -> TreePool:
 
 
 def enumerate_signings(tree: SignedGraph) -> Iterator[SignedGraph]:
-    """All 2^(n-1) signings of a tree, lazily, in sign-vector order."""
-    if tree.m != tree.n - 1:
-        raise PreconditionError("signing enumeration requires a tree")
-    for bits in range(1 << tree.m):
-        yield _signing(tree, bits)
+    """All 2^(n-1) signings of a tree, lazily, in sign-vector order:
+    signing i has edge j negative iff bit j of i is set.
+
+    A signing changes only signs, so its edges are the tree's canonical
+    edges, in the same order, and as valid.  Each edge's two signed tuples
+    are built once per tree and shared by every signing; itertools.product
+    over the reversed pairs, each tuple reversed back, makes edge 0 vary
+    fastest.  Raises NotTreeError when the input is not a tree.
+    """
+    require_tree(tree)
+    pairs = [((u, v, 1), (u, v, -1)) for u, v, _ in tree.edges]
+    for edges in product(*reversed(pairs)):
+        yield _signed_tree(tree.n, edges[::-1])
 
 
 def _signing(tree: SignedGraph, bits: int) -> SignedGraph:
-    """The signing of a tree whose edge i is negative iff bit i is set."""
-    return SignedGraph(
+    """Signing number `bits` of enumerate_signings(tree), built alone."""
+    return _signed_tree(
         tree.n,
         tuple((u, v, -1 if bits >> i & 1 else 1) for i, (u, v, _) in enumerate(tree.edges)),
     )
+
+
+def _signed_tree(n: int, edges: tuple) -> SignedGraph:
+    """A SignedGraph built without SignedGraph.__post_init__, for signings
+    only.  Invariant: `edges` are a tree's canonical edges (u < v, sorted,
+    in range, no duplicates) with each sign +1 or -1; changing the signs
+    of a valid canonical edge tuple keeps it valid and sorted, since no
+    two edges share (u, v)."""
+    g = object.__new__(SignedGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    return g
 
 
 def charpoly_classes(n: int) -> dict[IntPolynomial, tuple[SignedGraph, ...]]:
@@ -215,7 +238,7 @@ def find_gc_mates(
         if candidate.n != query.n:
             continue
         scanned += 1
-        shape = tuple((u, v) for u, v, _ in candidate.edges)
+        shape = tuple(map(itemgetter(0, 1), candidate.edges))
         poly = tree_phi.get(shape)
         if poly is None:
             poly = charpoly(candidate.adjacency())

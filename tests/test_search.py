@@ -1,5 +1,6 @@
 """Tree enumeration, signing streams, mate search, exhaustive confirmation."""
 
+import inspect
 import itertools
 import random
 
@@ -7,12 +8,13 @@ import pytest
 
 from sgdgs.certify import certify_tree
 from sgdgs.datasets import EXAMPLE1_CHARPOLY, remark1_pair
-from sgdgs.errors import PreconditionError, ResourceGuardError
+from sgdgs.errors import NotTreeError, PreconditionError, ResourceGuardError
 from sgdgs.linalg import charpoly, complement_matrix
 from sgdgs.search import (
     FREE_TREE_COUNTS,
     _check_spectrum_groups,
     _recover_and_classify,
+    _signing,
     _walk_key_groups,
     all_signed_trees,
     charpoly_classes,
@@ -21,6 +23,7 @@ from sgdgs.search import (
     enumerate_trees,
     exhaustive_dgs_check,
     find_gc_mates,
+    random_signing,
     random_tree,
 )
 from sgdgs.sgraph import (
@@ -82,6 +85,52 @@ def test_enumerate_signings_rejects_non_tree():
     tri = SignedGraph(3, ((1, 2, 1), (1, 3, 1), (2, 3, 1)))
     with pytest.raises(PreconditionError):
         list(enumerate_signings(tri))
+
+
+def test_enumerate_signings_rejects_cycle_with_n_minus_1_edges():
+    # a triangle plus an isolated vertex has n - 1 edges but is no tree
+    g = SignedGraph(4, ((1, 2, 1), (2, 3, 1), (1, 3, 1)))
+    with pytest.raises(NotTreeError):
+        list(enumerate_signings(g))
+    # one precondition, one error family
+    assert issubclass(NotTreeError, PreconditionError)
+    with pytest.raises(PreconditionError):
+        list(enumerate_signings(g))
+
+
+def _checked_signings(tree):
+    """The slow definition: signing i negates edge j iff bit j of i is
+    set, each built and validated by SignedGraph itself."""
+    return [
+        SignedGraph(
+            tree.n,
+            tuple((u, v, -1 if bits >> j & 1 else 1) for j, (u, v, _) in enumerate(tree.edges)),
+        )
+        for bits in range(1 << tree.m)
+    ]
+
+
+def _assert_signings_match_checked(tree):
+    got = list(enumerate_signings(tree))
+    expected = _checked_signings(tree)
+    assert got == expected
+    assert [hash(g) for g in got] == [hash(g) for g in expected]
+    assert [_signing(tree, bits) for bits in range(len(expected))] == expected
+
+
+def test_enumerate_signings_match_checked_construction_on_pool():
+    assert inspect.isgeneratorfunction(enumerate_signings)
+    for n in range(1, 11):
+        for tree in enumerate_trees(n).trees:
+            _assert_signings_match_checked(tree)
+
+
+def test_enumerate_signings_match_checked_construction_on_pruefer_trees():
+    # labeled trees with input signs, which the signings must ignore
+    rng = random.Random(1709)
+    for _ in range(12):
+        tree = random_tree(rng.randint(11, 14), rng)
+        _assert_signings_match_checked(random_signing(tree, rng))
 
 
 def test_decode_pruefer_and_random_tree():
