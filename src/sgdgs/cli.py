@@ -18,13 +18,8 @@ from .errors import InternalInvariantError, ResourceGuardError, SgdgsError
 from .intpoly import IntPolynomial, format_poly, format_poly_line, parse_poly
 from .linalg import IntMatrix, RatMatrix, charpoly, complement_matrix, det, parse_matrix
 from .numberfield import verify_bipartite_eigen_properties
-from .search import (
-    all_signed_trees,
-    enumerate_trees,
-    exhaustive_dgs_check,
-    find_gc_mates,
-)
-from .sgraph import SignedGraph, format_sg, has_perfect_matching, is_balanced, read_sg, write_sg
+from .search import all_signed_trees, exhaustive_dgs_check, find_gc_mates
+from .sgraph import SignedGraph, format_sg, is_balanced, read_sg, write_sg
 from .spectra import classify_q, recover_q, verify_structure_theorem, walk_matrix
 
 DEFAULT_MAX_N = 10
@@ -268,49 +263,33 @@ def _cmd_search_mates(args) -> int:
 def _cmd_exhaustive_check(args) -> int:
     n = args.n
     _guard_order(n, args)
-    # one bucketing per certified charpoly class: every tree of a class has
-    # the same candidates, so it reuses the report of the class's first tree
-    reports = {}
-    results = []
-    for tree in enumerate_trees(n).trees:
-        # a tree without a perfect matching is never certified: for odd n it
-        # has odd order, and for n >= 2 its charpoly is its matching
-        # polynomial, whose constant term is +-(number of perfect matchings)
-        # = 0, so x divides phi properly and phi is reducible
-        if not has_perfect_matching(tree):
-            continue
-        cert = certify_tree(tree)
-        if not cert.certified:
-            continue
-        if cert.charpoly not in reports:
-            reports[cert.charpoly] = exhaustive_dgs_check(tree)
-        results.append((tree, reports[cert.charpoly]))
+    reports = exhaustive_dgs_check(n)
     payload = {
         "n": n,
-        "certified_trees": len(results),
+        "certified_trees": len(reports),
         "results": [
             {
-                "edges": [list(e) for e in tree.edges],
+                "edges": [list(e) for e in rep.tree.edges],
                 "ok": rep.ok,
                 "signings_scanned": rep.signings_scanned,
                 "spectrum_groups": rep.spectrum_groups,
                 "gc_pairs": len(rep.gc_pairs),
             }
-            for tree, rep in results
+            for rep in reports
         ],
-        "all_ok": all(rep.ok for _, rep in results),
+        "all_ok": all(rep.ok for rep in reports),
     }
 
     def render():
-        if not results:
+        if not reports:
             print(f"no certified trees on {n} vertices; nothing to check")
             return
-        for tree, rep in results:
+        for rep in reports:
             print(
-                f"tree {list(tree.edges)}: ok={rep.ok} "
+                f"tree {list(rep.tree.edges)}: ok={rep.ok} "
                 f"(signings={rep.signings_scanned}, groups={rep.spectrum_groups})"
             )
-        print(f"all_ok: {all(rep.ok for _, rep in results)}")
+        print(f"all_ok: {all(rep.ok for rep in reports)}")
 
     _emit(payload, args.json, render)
     return 0
@@ -438,7 +417,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (SgdgsError, OSError, ValueError, KeyError) as exc:
+    except (SgdgsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -169,7 +169,7 @@ def dataset_names() -> list[str]:
 
 def get_dataset(name: str) -> Dataset:
     if name not in _DATASETS:
-        raise KeyError(f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
+        raise ValueError(f"unknown dataset {name!r}; available: {', '.join(dataset_names())}")
     return _DATASETS[name]
 
 

@@ -7,15 +7,15 @@ check buckets all signings of all candidate trees by their generalized
 spectrum; a certified tree passes when every bucket is isomorphism-
 homogeneous.  Only trees with a perfect matching can be certified or be
 cospectral with a certified tree (a tree's charpoly is its matching
-polynomial, so phi(0) = +-(number of perfect matchings)), so the charpoly
-classes hold those trees alone.
+polynomial, so phi(0) = +-(number of perfect matchings)), so the check
+certifies and groups those trees alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -51,7 +51,6 @@ class TreePool:
 
 
 _POOL_CACHE: dict[int, TreePool] = {}
-_CHARPOLY_CLASSES: dict[int, dict[IntPolynomial, tuple[SignedGraph, ...]]] = {}
 
 
 def enumerate_trees(n: int) -> TreePool:
@@ -112,21 +111,6 @@ def _signed_tree(n: int, edges: tuple) -> SignedGraph:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
     return g
-
-
-def charpoly_classes(n: int) -> dict[IntPolynomial, tuple[SignedGraph, ...]]:
-    """The pool trees of order n with a perfect matching, grouped by
-    adjacency charpoly, pool order kept; one charpoly per tree, computed
-    once per n.  Every other pool tree has phi(0) = 0, and phi(0) is a
-    spectral invariant, so no class with phi(0) != 0 (such as a certified
-    tree's) misses a tree."""
-    if n not in _CHARPOLY_CLASSES:
-        classes: dict[IntPolynomial, list[SignedGraph]] = {}
-        for t in enumerate_trees(n).trees:
-            if has_perfect_matching(t):
-                classes.setdefault(charpoly(t.adjacency()), []).append(t)
-        _CHARPOLY_CLASSES[n] = {phi: tuple(ts) for phi, ts in classes.items()}
-    return _CHARPOLY_CLASSES[n]
 
 
 def random_tree(n: int, rng: random.Random) -> SignedGraph:
@@ -403,34 +387,48 @@ def _walk_key_groups(candidates: tuple[SignedGraph, ...]) -> tuple[int, dict]:
     return count, groups
 
 
-def exhaustive_dgs_check(tree: SignedGraph) -> ExhaustiveCheckReport:
-    """Confirm a certified tree against every signed tree of its order.
+def exhaustive_dgs_check(n: int) -> tuple[ExhaustiveCheckReport, ...]:
+    """Confirm every certified tree of order n against every signed tree of
+    that order: one report per certified tree, in pool order.
 
-    Candidates are the pool trees cospectral with the input (all signings
-    of a tree share its adjacency charpoly, so nothing else can be
-    generalized cospectral with a signing of it), read off
-    charpoly_classes: a certified phi has phi(0) = +-1, so every tree
-    cospectral with the input has a perfect matching and is in its class.
-    Their signings are bucketed by walk key, which on a
+    Only trees with a perfect matching are certified.  Any other tree is
+    never certified: for odd n it has odd order, and for n >= 2 its charpoly
+    is its matching polynomial, whose constant term is +-(number of perfect
+    matchings) = 0, so x divides phi properly and phi is reducible.  The
+    matched trees are grouped by their certificates' phi, pool order kept;
+    a certified phi has phi(0) = +-1, and phi(0) is a spectral invariant,
+    so its group holds every tree cospectral with it.  Those are the
+    candidates (all signings of a tree share its adjacency charpoly, so
+    nothing else can be generalized cospectral with a signing of it).
+    Their signings are bucketed once per class by walk key, which on a
     common charpoly is equivalent to the complement charpoly (see
     sgraph.walk_key), and every bucket must consist of pairwise-isomorphic
-    signed trees.
+    signed trees.  Each certified tree gets its class's report.
     """
-    cert = certify_tree(tree)
-    if not cert.certified:
-        raise PreconditionError(f"tree is not certified ({cert.verdict})")
-    n = tree.n
-    candidates = charpoly_classes(n)[cert.charpoly]
-    count, groups = _walk_key_groups(candidates)
-    ok, counterexamples = _check_spectrum_groups(groups)
-    records = tuple(_structure_records(groups))
-    return ExhaustiveCheckReport(
-        tree=tree,
-        n=n,
-        ok=ok,
-        counterexamples=tuple(counterexamples),
-        candidate_trees=len(candidates),
-        signings_scanned=len(candidates) << (n - 1),
-        spectrum_groups=count,
-        gc_pairs=records,
-    )
+    classes: dict[IntPolynomial, list[SignedGraph]] = {}
+    certified = []  # (tree, phi) in pool order
+    for tree in enumerate_trees(n).trees:
+        if not has_perfect_matching(tree):
+            continue
+        cert = certify_tree(tree)
+        classes.setdefault(cert.charpoly, []).append(tree)
+        if cert.certified:
+            certified.append((tree, cert.charpoly))
+    reports: dict[IntPolynomial, ExhaustiveCheckReport] = {}
+    for tree, phi in certified:
+        if phi in reports:
+            continue
+        candidates = tuple(classes[phi])
+        count, groups = _walk_key_groups(candidates)
+        ok, counterexamples = _check_spectrum_groups(groups)
+        reports[phi] = ExhaustiveCheckReport(
+            tree=tree,
+            n=n,
+            ok=ok,
+            counterexamples=tuple(counterexamples),
+            candidate_trees=len(candidates),
+            signings_scanned=len(candidates) << (n - 1),
+            spectrum_groups=count,
+            gc_pairs=tuple(_structure_records(groups)),
+        )
+    return tuple(replace(reports[phi], tree=tree) for tree, phi in certified)

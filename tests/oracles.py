@@ -187,8 +187,9 @@ def dense_walk_counts(rows, count):
 
 
 def full_key_groups(signings, key):
-    """{key: members} filled in stream order: the dict of full walk keys
-    that exhaustive_dgs_check bucketed by before term-by-term refinement."""
+    """{key: members} filled in stream order: with key = walk_key, the
+    buckets that _walk_key_groups' term-by-term refinement must reproduce
+    for each phi class of exhaustive_dgs_check."""
     groups = {}
     for g in signings:
         groups.setdefault(key(g), []).append(g)
@@ -545,7 +546,7 @@ def brute_force_has_perfect_matching(n, edges):
 def matching_polynomial(n, edges):
     """sum_k (-1)^k m_k x^(n-2k), ascending, with m_k the number of k-edge
     matchings counted over edge subsets; a forest's adjacency charpoly
-    (Sachs), for n <= 10."""
+    (Sachs), for n <= 12."""
     masks = [(1 << e[0]) | (1 << e[1]) for e in edges]
     coeffs = [0] * (n + 1)
     for k in range(n // 2 + 1):

@@ -116,12 +116,12 @@ def test_criterion_3_remark2_reproduction(capsys):
 def test_criterion_4_exhaustive_theorem_check(capsys):
     start = time.time()
     total_certified = 0
-    for n in (2, 4, 6, 8, 10):
-        for tree in enumerate_trees(n).trees:
-            if not certify_tree(tree).certified:
-                continue
-            total_certified += 1
-            report = exhaustive_dgs_check(tree)
+    for n in range(2, 11):
+        reports = exhaustive_dgs_check(n)
+        certified = [t for t in enumerate_trees(n).trees if certify_tree(t).certified]
+        assert [report.tree for report in reports] == certified
+        total_certified += len(reports)
+        for report in reports:
             assert report.ok, f"counterexample to the main theorem at n={n}!"
             assert report.counterexamples == ()
             _CRITERION4_REPORTS.append(report)

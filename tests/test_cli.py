@@ -142,8 +142,10 @@ def test_dataset_show_and_emit(capsys, tmp_path, monkeypatch):
 
 
 def test_dataset_unknown_exit_1(capsys):
-    code, _, err = run(capsys, "dataset", "nope")
+    code, out, err = run(capsys, "dataset", "nope")
     assert code == 1
+    assert out == ""
+    assert err == "error: unknown dataset 'nope'; available: example1-poly, remark1, remark2\n"
 
 
 def test_dataset_example1_emit(capsys, tmp_path, monkeypatch):
@@ -191,9 +193,8 @@ def test_exhaustive_check_within_guard(capsys):
 
 def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     """The pinned n = 14 census: 36 certified trees in 31 charpoly classes.
-    Only the 180 trees with a perfect matching are certified by the CLI,
-    and each class once more by exhaustive_dgs_check (180 + 31 calls), and
-    each class's signings are bucketed once: 36 candidate trees x 2^13
+    Only the 180 trees with a perfect matching are certified, once each,
+    and each class's signings are bucketed once: 36 candidate trees x 2^13
     signings."""
     import sgdgs.cli as cli_mod
     import sgdgs.search as search_mod
@@ -220,7 +221,7 @@ def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a8afd8e1e2afaabae98bb690d47dc75509ebcca0b2d452205cb506db463ca3c3"
     )
-    assert len(certify_calls) == 211
+    assert len(certify_calls) == 180
     assert len(signings) == 294_912
     assert elapsed < 60.0
 

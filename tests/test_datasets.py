@@ -29,7 +29,7 @@ def _scaled(m, c):
 def test_names_and_lookup():
     assert dataset_names() == ["example1-poly", "remark1", "remark2"]
     assert get_dataset("remark1").kind == "tree-pair"
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         get_dataset("nope")
 
 

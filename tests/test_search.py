@@ -17,7 +17,6 @@ from sgdgs.search import (
     _signing,
     _walk_key_groups,
     all_signed_trees,
-    charpoly_classes,
     decode_pruefer,
     enumerate_signings,
     enumerate_trees,
@@ -191,8 +190,9 @@ def test_find_gc_mates_skips_isomorphic_signings():
 def test_exhaustive_check_all_certified_10():
     certified = [t for t in enumerate_trees(10).trees if certify_tree(t).certified]
     assert len(certified) == 3
-    for tree in certified:
-        report = exhaustive_dgs_check(tree)
+    reports = exhaustive_dgs_check(10)
+    assert [report.tree for report in reports] == certified
+    for report in reports:
         assert report.ok
         assert report.counterexamples == ()
         assert report.signings_scanned == 512 * report.candidate_trees
@@ -200,10 +200,9 @@ def test_exhaustive_check_all_certified_10():
             assert pair.recovery_valid and pair.block_structure
 
 
-def test_exhaustive_check_requires_certified():
-    p4 = SignedGraph(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1)))
-    with pytest.raises(PreconditionError):
-        exhaustive_dgs_check(p4)
+def test_exhaustive_check_no_certified_tree_below_10():
+    for n in range(1, 10):
+        assert exhaustive_dgs_check(n) == ()
 
 
 def test_exhaustive_check_negative_control():
@@ -223,7 +222,9 @@ def test_exhaustive_check_negative_control():
 def test_example1_pair_locatable_at_n14():
     """Exactly one unordered pair of 14-vertex trees carries the embedded
     degree-14 charpoly (the printed cospectral pair)."""
-    matches = charpoly_classes(14).get(EXAMPLE1_CHARPOLY, ())
+    matches = [
+        t for t in enumerate_trees(14).trees if charpoly(t.adjacency()) == EXAMPLE1_CHARPOLY
+    ]
     assert len(matches) == 2
     t1, t2 = matches
     assert are_isomorphic(t1, t2) is None
@@ -263,24 +264,20 @@ def test_walk_key_buckets_match_complement_charpoly_buckets():
     assert cross_tree > 0
 
 
-def test_charpoly_classes_partition_the_pool_in_pool_order():
-    """The classes partition the pool trees with a perfect matching, in pool
-    order; every other pool tree has phi(0) = 0, so no class with
-    phi(0) != 0 misses one."""
-    for n in range(1, 11):
+def test_exhaustive_check_candidates_are_the_cospectral_pool_trees():
+    """Each report's candidates are all pool trees, unscreened, with the
+    report tree's matching polynomial (its charpoly): the screen loses no
+    tree cospectral with a certified one."""
+    reports = 0
+    for n in range(1, 13):
         pool = enumerate_trees(n).trees
-        screened = [t for t in pool if has_perfect_matching(t)]
-        classes = charpoly_classes(n)
-        assert sorted(t.edges for ts in classes.values() for t in ts) == sorted(
-            t.edges for t in screened
-        )
-        for phi, trees in classes.items():
-            assert phi.coefficient(0) != 0
-            assert all(charpoly(t.adjacency()) == phi for t in trees)
-            assert list(trees) == [t for t in pool if t in trees]
-        assert all(
-            charpoly(t.adjacency()).coefficient(0) == 0 for t in pool if t not in screened
-        )
+        for report in exhaustive_dgs_check(n):
+            mu = matching_polynomial(n, report.tree.edges)
+            expected = sum(matching_polynomial(n, t.edges) == mu for t in pool)
+            assert report.candidate_trees == expected, (n, report.tree)
+            assert report.signings_scanned == expected << (n - 1)
+            reports += 1
+    assert reports == 6
 
 
 def test_perfect_matching_screen_is_charpoly_constant_term():
@@ -310,7 +307,7 @@ def test_walk_key_refinement_matches_full_key_dict():
     with n <= 10 against the dict of full walk keys filled in stream order:
     the same number of buckets, and the same multi-member buckets with the
     same keys, members, member order and bucket order.  The classes come
-    from the oracle's matching polynomial, not charpoly_classes: no two
+    from the oracle's matching polynomial over the whole pool: no two
     trees with a perfect matching and n <= 10 are cospectral."""
     shared_classes = 0
     multi_bucket_classes = 0
