@@ -74,56 +74,26 @@ def certify_from_charpoly(phi: IntPolynomial) -> DgsCertificate:
     n = phi.degree
     delta = discriminant(phi)
     verdict_irr = is_irreducible(phi, disc=delta)  # monic, so primitive
+    s = _exact_scaled_sqrt(delta, n) if n % 2 == 0 else None
+    fac = factor_integer(s) if s else None
+    s_odd = None if s is None else s % 2 == 1
+    s_squarefree = None if s is None else fac is not None and fac.is_squarefree()
     if n % 2 == 1:
         # 2^(-n/2) sqrt(delta) is never an integer scale for odd order;
         # rejected structurally rather than inventing a convention.
-        return DgsCertificate(
-            n=n,
-            charpoly=phi,
-            irreducible=verdict_irr,
-            delta=delta,
-            s=None,
-            s_factorization=None,
-            s_odd=None,
-            s_squarefree=None,
-            verdict=_not_certified("odd order"),
-        )
-    s = _exact_scaled_sqrt(delta, n)
-    if s is None:
-        return DgsCertificate(
-            n=n,
-            charpoly=phi,
-            irreducible=verdict_irr,
-            delta=delta,
-            s=None,
-            s_factorization=None,
-            s_odd=None,
-            s_squarefree=None,
-            verdict=_not_certified("delta/2^n is not a perfect square"),
-        )
-    if s == 0:
-        return DgsCertificate(
-            n=n,
-            charpoly=phi,
-            irreducible=verdict_irr,
-            delta=delta,
-            s=0,
-            s_factorization=None,
-            s_odd=False,
-            s_squarefree=False,
-            verdict=_not_certified("repeated eigenvalue (delta = 0)"),
-        )
-    fac = factor_integer(s)
-    s_odd = s % 2 == 1
-    s_squarefree = fac.is_squarefree()
-    if not verdict_irr.irreducible:
-        verdict = _not_certified("charpoly reducible")
+        reason = "odd order"
+    elif s is None:
+        reason = "delta/2^n is not a perfect square"
+    elif s == 0:
+        reason = "repeated eigenvalue (delta = 0)"
+    elif not verdict_irr.irreducible:
+        reason = "charpoly reducible"
     elif not s_odd:
-        verdict = _not_certified("s is even")
+        reason = "s is even"
     elif not s_squarefree:
-        verdict = _not_certified("s is not square-free")
+        reason = "s is not square-free"
     else:
-        verdict = VERDICT_CERTIFIED
+        reason = None
     return DgsCertificate(
         n=n,
         charpoly=phi,
@@ -133,8 +103,8 @@ def certify_from_charpoly(phi: IntPolynomial) -> DgsCertificate:
         s_factorization=fac,
         s_odd=s_odd,
         s_squarefree=s_squarefree,
-        verdict=verdict,
-        probabilistic=fac.probable_only,
+        verdict=VERDICT_CERTIFIED if reason is None else _not_certified(reason),
+        probabilistic=fac is not None and fac.probable_only,
     )
 
 

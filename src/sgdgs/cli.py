@@ -228,7 +228,7 @@ def _cmd_verify_lemma34(args) -> int:
 
 def _cmd_search_mates(args) -> int:
     g = _load_graph(args.graph)
-    pool_n = args.pool_n or g.n
+    pool_n = g.n if args.pool_n is None else args.pool_n
     _guard_order(pool_n, args)
     report = find_gc_mates(
         g,
@@ -351,18 +351,21 @@ def _cmd_dataset(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--max-n", type=int,
-                        default=int(os.environ.get("SPECTRAL_MAX_N", DEFAULT_MAX_N)),
-                        help="largest order search-mates and exhaustive-check enumerate "
-                             "(env SPECTRAL_MAX_N, default %(default)s)")
+    # argparse applies type=int to a string default, so a bad SPECTRAL_MAX_N
+    # is a usage error of the two enumerating commands only
+    guarded = argparse.ArgumentParser(add_help=False)
+    guarded.add_argument("--max-n", type=int,
+                         default=os.environ.get("SPECTRAL_MAX_N", str(DEFAULT_MAX_N)),
+                         help="largest order to enumerate (env SPECTRAL_MAX_N, "
+                              "default %(default)s)")
     parser = argparse.ArgumentParser(
         prog="sgdgs",
         description="Decide whether signed trees are determined by their generalized spectrum.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_sub(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_sub(name, help_text, *extra):
+        return sub.add_parser(name, help=help_text, parents=[common, *extra])
 
     p = add_sub("certify", "run the spectral-determinacy certificate")
     p.add_argument("graph", nargs="?", help=".sg file or dataset:<name>-<a|b>")
@@ -389,12 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.set_defaults(func=_cmd_verify_lemma34)
 
-    p = add_sub("search-mates", "search signed trees for generalized-cospectral mates")
+    p = add_sub("search-mates", "search signed trees for generalized-cospectral mates", guarded)
     p.add_argument("graph")
     p.add_argument("--pool-n", type=int, default=None)
     p.set_defaults(func=_cmd_search_mates)
 
-    p = add_sub("exhaustive-check", "confirm all certified trees of one order")
+    p = add_sub("exhaustive-check", "confirm all certified trees of one order", guarded)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_exhaustive_check)
 

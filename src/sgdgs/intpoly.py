@@ -20,6 +20,7 @@ from itertools import combinations, islice
 
 from .errors import InternalInvariantError, UndefinedInputError
 from .factorint import first_primes
+from .kernels import poly_add, poly_mul
 
 
 class IntPolynomial:
@@ -85,13 +86,7 @@ class IntPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self.coeffs, _as_poly(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
+        return IntPolynomial(poly_add(self.coeffs, _as_poly(other).coeffs))
 
     __radd__ = __add__
 
@@ -105,16 +100,7 @@ class IntPolynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        b = _as_poly(other).coeffs
-        a = self.coeffs
-        if not a or not b:
-            return IntPolynomial.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(poly_mul(self.coeffs, _as_poly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -469,35 +455,13 @@ def _gf_pow_mod(base, e, mod, p):
     return result
 
 
-def _gf_is_irreducible(f, p) -> bool:
-    """Ben-Or's test for monic f mod p (Ben-Or, "Probabilistic algorithms
-    in finite fields", FOCS 1981).
-
-    h runs through x^(p^k) mod f for k = 1, ..., floor(n/2), and the test
-    fails at the first k with gcd(f, h - x) != 1.  It is exact:
-    x^(p^k) - x is the product of the monic irreducibles of degree
-    dividing k, and a reducible f of degree n has an irreducible factor of
-    degree at most n/2, so some k finds it; an irreducible f has no factor
-    of degree below n, so no k does.  A reducible f usually stops after
-    one or two Frobenius steps.
+def _gf_distinct_degree(f, p):
+    """Distinct-degree split of a monic f mod p, lazily by increasing d:
+    yields (g_d, d), g_d the product of f's irreducible factors of degree d
+    when f is square-free.  Stage d takes gcd(g, x^(p^d) - x) with g the
+    part of f not yet split off; once g cannot hold two factors of degree
+    above d, what is left (if anything) is one irreducible factor.
     """
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    x = [0, 1]
-    h = x
-    for _ in range(n // 2):
-        h = _gf_pow_mod(h, p, f, p)
-        if len(_gf_gcd(f, _gf_sub(h, x, p), p)) != 1:
-            return False
-    return True
-
-
-def _gf_factor_squarefree(f, p, rng: random.Random):
-    """Monic irreducible factors of a monic square-free f mod p (p odd)."""
-    factors = []
-    # distinct-degree splitting
-    stages = []
     g = list(f)
     h = [0, 1]
     d = 0
@@ -506,13 +470,35 @@ def _gf_factor_squarefree(f, p, rng: random.Random):
         h = _gf_pow_mod(h, p, g, p)
         gd = _gf_gcd(g, _gf_sub(h, [0, 1], p), p)
         if len(gd) > 1:
-            stages.append((gd, d))
+            yield gd, d
             g = _gf_divmod(g, gd, p)[0]
             h = _gf_divmod(h, g, p)[1]
     if len(g) > 1:
-        stages.append((g, len(g) - 1))
-    # equal-degree splitting (Cantor-Zassenhaus)
-    for prod, d in stages:
+        yield g, len(g) - 1
+
+
+def _gf_is_irreducible(f, p) -> bool:
+    """Ben-Or's test for monic f mod p (Ben-Or, "Probabilistic algorithms
+    in finite fields", FOCS 1981): the first stage of _gf_distinct_degree.
+
+    Up to the first split that stage computes h = x^(p^k) mod f for
+    k = 1, ..., floor(n/2) and fails at the first k with
+    gcd(f, h - x) != 1.  It is exact, square-free f or not:
+    x^(p^k) - x is the product of the monic irreducibles of degree
+    dividing k, and a reducible f of degree n has an irreducible factor of
+    degree at most n/2, so some k <= n/2 < n finds it; an irreducible f
+    has no factor of degree below n, so its first stage is (f, n).  A
+    reducible f usually stops after one or two Frobenius steps.
+    """
+    n = len(f) - 1
+    return n > 0 and next(_gf_distinct_degree(f, p))[1] == n
+
+
+def _gf_factor_squarefree(f, p, rng: random.Random):
+    """Monic irreducible factors of a monic square-free f mod p (p odd)."""
+    factors = []
+    # equal-degree splitting (Cantor-Zassenhaus) of each distinct-degree stage
+    for prod, d in _gf_distinct_degree(f, p):
         work = [prod]
         while work:
             cur = work.pop()

@@ -10,6 +10,8 @@ or weighted), division-free Berkowitz for everything else.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import InternalInvariantError
 
 
@@ -24,13 +26,15 @@ def charpoly_coeffs(rows: list[list[int]]) -> list[int]:
     return _berkowitz(rows) if coeffs is None else coeffs
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
+def poly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two ascending coefficient sequences; trailing zeros are kept."""
     if len(a) < len(b):
         a, b = b, a
     return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Dense product of two ascending coefficient sequences; [] if either is empty."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -96,13 +100,13 @@ def _matching_charpoly(rows: list[list[int]]) -> list[int] | None:
         p = parent[v]
         if p < 0:
             continue
-        total = _poly_add(free[v], matched[v])
-        pair = [0] + [weight[v] * c for c in _poly_mul(free[p], free[v])]
-        matched[p] = _poly_add(_poly_mul(matched[p], total), pair)
-        free[p] = _poly_mul(free[p], total)
+        total = poly_add(free[v], matched[v])
+        pair = [0] + [weight[v] * c for c in poly_mul(free[p], free[v])]
+        matched[p] = poly_add(poly_mul(matched[p], total), pair)
+        free[p] = poly_mul(free[p], total)
     m = [1]
     for r in roots:
-        m = _poly_mul(m, _poly_add(free[r], matched[r]))
+        m = poly_mul(m, poly_add(free[r], matched[r]))
     out = [0] * (n + 1)
     for k, mk in enumerate(m):
         out[n - 2 * k] = -mk if k % 2 else mk

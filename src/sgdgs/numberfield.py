@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalInvariantError, NotBipartiteError, PreconditionError
 from .intpoly import IntPolynomial, is_irreducible
+from .kernels import poly_add, poly_mul
 from .linalg import IntMatrix, charpoly
 from .sgraph import SignedGraph, bipartite_adjacency, bipartition
 
@@ -49,10 +50,7 @@ def _z_norm(vectors: Sequence[Sequence[int]], phi: list[int]) -> list[int]:
     """sum_i v_i^2 modulo the monic phi, each v_i of degree < deg(phi)."""
     out = [0] * (2 * len(phi) - 3)
     for v in vectors:
-        for i, x in enumerate(v):
-            if x:
-                for j, y in enumerate(v):
-                    out[i + j] += x * y
+        out = poly_add(out, poly_mul(v, v))
     return _z_reduce(out, phi)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import NotBipartiteError, NotTreeError, SgdgsError
+from .errors import NotBipartiteError, NotTreeError
 from .linalg import IntMatrix
 
 
@@ -332,9 +332,11 @@ def has_perfect_matching(g: SignedGraph) -> bool:
 # -- canonical form and isomorphism ----------------------------------------------
 
 
-def _tree_centers(g: SignedGraph) -> list[int]:
+def _tree_roots(g: SignedGraph) -> list[tuple[int, int]]:
+    """The AHU roots as (vertex, excluded neighbour) pairs: [(c, 0)] for a
+    central tree, [(c1, c2), (c2, c1)] for a bicentral one."""
     if g.n == 1:
-        return [1]
+        return [(1, 0)]
     adj = g.neighbor_lists()
     degree = [len(adj[v]) for v in range(g.n + 1)]
     layer = [v for v in range(1, g.n + 1) if degree[v] == 1]
@@ -350,11 +352,21 @@ def _tree_centers(g: SignedGraph) -> list[int]:
                     if degree[u] == 1:
                         nxt.append(u)
         layer = nxt
-    return sorted(layer)
+    if len(layer) == 1:
+        return [(layer[0], 0)]
+    c1, c2 = sorted(layer)
+    return [(c1, c2), (c2, c1)]
 
 
 def _sign_char(s: int) -> str:
     return "+" if s > 0 else "-"
+
+
+def _encode(adj, v: int, parent: int) -> str:
+    """AHU token of the subtree at v (away from parent): each child token
+    is prefixed by the sign of its edge to v, and the tokens are sorted."""
+    tokens = sorted(_sign_char(s) + _encode(adj, u, v) for u, s in adj[v] if u != parent)
+    return "(" + "".join(tokens) + ")"
 
 
 def tree_canonical_form(g: SignedGraph) -> str:
@@ -362,78 +374,38 @@ def tree_canonical_form(g: SignedGraph) -> str:
     token is prefixed by the sign of its edge to the parent."""
     require_tree(g)
     adj = g.neighbor_lists()
-
-    def encode(v: int, parent: int) -> str:
-        tokens = sorted(
-            _sign_char(s) + encode(u, v) for u, s in adj[v] if u != parent
-        )
-        return "(" + "".join(tokens) + ")"
-
-    centers = _tree_centers(g)
-    if len(centers) == 1:
-        return encode(centers[0], 0)
-    c1, c2 = centers
+    roots = _tree_roots(g)
+    if len(roots) == 1:
+        return _encode(adj, *roots[0])
+    c1, c2 = roots[0]
     s = next(s for u, s in adj[c1] if u == c2)
-    halves = sorted([encode(c1, c2), encode(c2, c1)])
+    halves = sorted([_encode(adj, c1, c2), _encode(adj, c2, c1)])
     return "[" + _sign_char(s) + halves[0] + halves[1] + "]"
 
 
 def _tree_isomorphism(g: SignedGraph, h: SignedGraph) -> Optional[tuple[int, ...]]:
+    """Read the bijection off the canonical encoding.
+
+    Equal canonical forms give equal sorted token lists at the roots and,
+    below each pair of matched vertices, equal sorted lists of sign-prefixed
+    child tokens, so zipping the sorted lists pairs isomorphic subtrees.
+    """
+    if tree_canonical_form(g) != tree_canonical_form(h):
+        return None
     adj_g, adj_h = g.neighbor_lists(), h.neighbor_lists()
 
-    def make_encoder(adj):
-        memo: dict[tuple[int, int], str] = {}
+    def ranked_roots(graph, adj):
+        return sorted((_encode(adj, v, p), v, p) for v, p in _tree_roots(graph))
 
-        def encode(v: int, parent: int) -> str:
-            key = (v, parent)
-            if key not in memo:
-                tokens = sorted(
-                    _sign_char(s) + encode(u, v) for u, s in adj[v] if u != parent
-                )
-                memo[key] = "(" + "".join(tokens) + ")"
-            return memo[key]
+    def ranked_children(adj, v, parent):
+        return sorted((_sign_char(s) + _encode(adj, u, v), u, v) for u, s in adj[v] if u != parent)
 
-        return encode
-
-    enc_g, enc_h = make_encoder(adj_g), make_encoder(adj_h)
     mapping = [0] * (g.n + 1)
-
-    def descend(u: int, pu: int, v: int, pv: int):
+    work = list(zip(ranked_roots(g, adj_g), ranked_roots(h, adj_h)))
+    while work:
+        (_, u, pu), (_, v, pv) = work.pop()
         mapping[u] = v
-        kids_u = sorted(
-            ((_sign_char(s) + enc_g(c, u), c) for c, s in adj_g[u] if c != pu)
-        )
-        kids_v = sorted(
-            ((_sign_char(s) + enc_h(c, v), c) for c, s in adj_h[v] if c != pv)
-        )
-        for (tu, cu), (tv, cv) in zip(kids_u, kids_v):
-            if tu != tv:  # pragma: no cover - guarded by canonical equality
-                raise SgdgsError("token mismatch during tree matching")
-            descend(cu, u, cv, v)
-
-    centers_g, centers_h = _tree_centers(g), _tree_centers(h)
-    if len(centers_g) != len(centers_h):
-        return None
-    if len(centers_g) == 1:
-        if enc_g(centers_g[0], 0) != enc_h(centers_h[0], 0):
-            return None
-        descend(centers_g[0], 0, centers_h[0], 0)
-    else:
-        c1, c2 = centers_g
-        d1, d2 = centers_h
-        s_g = next(s for u, s in adj_g[c1] if u == c2)
-        s_h = next(s for u, s in adj_h[d1] if u == d2)
-        if s_g != s_h:
-            return None
-        eg = {c: enc_g(c, other) for c, other in ((c1, c2), (c2, c1))}
-        eh = {d: enc_h(d, other) for d, other in ((d1, d2), (d2, d1))}
-        for da, db in ((d1, d2), (d2, d1)):
-            if eg[c1] == eh[da] and eg[c2] == eh[db]:
-                descend(c1, c2, da, db)
-                descend(c2, c1, db, da)
-                break
-        else:
-            return None
+        work.extend(zip(ranked_children(adj_g, u, pu), ranked_children(adj_h, v, pv)))
     return tuple(mapping[1:])
 
 
@@ -489,9 +461,9 @@ def _backtracking_isomorphism(g: SignedGraph, h: SignedGraph) -> Optional[tuple[
 def are_isomorphic(g: SignedGraph, h: SignedGraph) -> Optional[tuple[int, ...]]:
     """A vertex bijection pi with A_h[pi(u), pi(v)] = A_g[u, v], or None.
 
-    Signs must match exactly; switching is not applied.  Signed trees use
-    the linear-time canonical-form matcher, everything else a backtracking
-    search intended for n <= 20.
+    Signs must match exactly; switching is not applied.  Signed trees are
+    matched through their canonical encoding (O(n^2)), everything else by a
+    backtracking search intended for n <= 20.
     """
     if g.n != h.n or g.m != h.m:
         return None

@@ -203,8 +203,9 @@ def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     signings = []
 
     def counting_certify(tree):
-        certify_calls.append(tree)
-        return certify_tree(tree)
+        cert = certify_tree(tree)
+        certify_calls.append((tree, cert))
+        return cert
 
     def counting_signings(tree):
         for g in enumerate_signings(tree):
@@ -218,6 +219,21 @@ def test_exhaustive_check_n14_census_and_work_counts(capsys, monkeypatch):
     code, out, _ = run(capsys, "exhaustive-check", "--n", "14", "--max-n", "14", "--json")
     elapsed = time.time() - start
     assert code == 0
+    # the report trees are the certified trees, in pool order (the screen
+    # certifies the matched trees in pool order)
+    results = json.loads(out)["results"]
+    certified = [(tree, cert) for tree, cert in certify_calls if cert.certified]
+    assert [r["edges"] for r in results] == [[list(e) for e in t.edges] for t, _ in certified]
+    # five certified phi classes hold two trees each: both trees are
+    # reported, each scanning the class's 2 x 2^13 signings
+    paired = [(r, cert) for r, (_, cert) in zip(results, certified)
+              if r["signings_scanned"] == 16_384]
+    assert len(paired) == 10
+    by_phi = {}
+    for r, cert in paired:
+        by_phi.setdefault(cert.charpoly, []).append(r["edges"])
+    assert len(by_phi) == 5
+    assert all(len(trees) == 2 and trees[0] != trees[1] for trees in by_phi.values())
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a8afd8e1e2afaabae98bb690d47dc75509ebcca0b2d452205cb506db463ca3c3"
     )
@@ -242,6 +258,31 @@ def test_max_n_env_mirror(capsys, monkeypatch):
     code, _, err = run(capsys, "search-mates", "dataset:remark1-a", "--pool-n", "6")
     assert code == 1
     assert "max-n" in err or "resource guard" in err
+
+
+def test_max_n_only_on_enumerating_commands(capsys, monkeypatch):
+    monkeypatch.delenv("SPECTRAL_MAX_N", raising=False)
+    _, expected, _ = run(capsys, "certify", "--dataset", "example1-poly")
+    monkeypatch.setenv("SPECTRAL_MAX_N", "abc")
+    # certify never reads the guard, so a bad value cannot stop it
+    code, out, err = run(capsys, "certify", "--dataset", "example1-poly")
+    assert (code, out, err) == (0, expected, "")
+    # the enumerating commands reject it as a usage error
+    code, out, err = run(capsys, "exhaustive-check", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert "invalid int value: 'abc'" in err and "Traceback" not in err
+    monkeypatch.delenv("SPECTRAL_MAX_N")
+    code, _, err = run(capsys, "certify", "--dataset", "example1-poly", "--max-n", "3")
+    assert code == 1
+    assert "unrecognized arguments: --max-n" in err
+
+
+def test_search_mates_pool_n_0_exit_1(capsys, p4_file):
+    code, out, err = run(capsys, "search-mates", p4_file, "--pool-n", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: tree enumeration needs n >= 1, got 0\n"
 
 
 def test_internal_invariant_exit_2(capsys, monkeypatch):

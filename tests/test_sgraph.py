@@ -9,7 +9,7 @@ from sgdgs.datasets import remark1_matrices, remark1_pair
 from sgdgs.errors import NotBipartiteError, NotTreeError
 from sgdgs.intpoly import IntPolynomial
 from sgdgs.linalg import IntMatrix, charpoly, complement_matrix
-from sgdgs.search import enumerate_trees, random_tree
+from sgdgs.search import enumerate_trees, random_signing, random_tree
 from sgdgs.sgraph import (
     Bipartition,
     SignedGraph,
@@ -219,26 +219,57 @@ def test_are_isomorphic_examples():
     assert are_isomorphic(g1, g2) is None
 
 
+def relabeled(g, rng):
+    pi = list(range(1, g.n + 1))
+    rng.shuffle(pi)
+    return SignedGraph(
+        g.n,
+        tuple((min(pi[u - 1], pi[v - 1]), max(pi[u - 1], pi[v - 1]), s) for u, v, s in g.edges),
+    )
+
+
+def random_signed_tree(n, rng):
+    return random_signing(random_tree(n, rng), rng)
+
+
+def is_bicentral(t):
+    return tree_canonical_form(t).startswith("[")
+
+
+def assert_relabeling_found(g, h):
+    found = are_isomorphic(g, h)
+    assert found is not None
+    p = permutation_matrix(found)
+    assert p.T @ g.adjacency() @ p == h.adjacency()
+    # symmetry: inverting the permutation maps back
+    back = are_isomorphic(h, g)
+    assert back is not None
+    q = permutation_matrix(back)
+    assert q.T @ h.adjacency() @ q == g.adjacency()
+
+
 def test_isomorphism_permutation_property():
     rng = random.Random(15)
     for _ in range(30):
-        n = rng.randint(2, 7)
-        g = random_signed_graph(n, rng)
-        pi = list(range(1, n + 1))
-        rng.shuffle(pi)
-        h_edges = tuple(
-            (min(pi[u - 1], pi[v - 1]), max(pi[u - 1], pi[v - 1]), s) for u, v, s in g.edges
-        )
-        h = SignedGraph(n, h_edges)
-        found = are_isomorphic(g, h)
-        assert found is not None
-        p = permutation_matrix(found)
+        g = random_signed_graph(rng.randint(2, 7), rng)
+        assert_relabeling_found(g, relabeled(g, rng))
+    # signed trees take the canonical-encoding path; the bijection is read
+    # off the encoding, so pairing children or bicenter halves wrongly shows
+    rng = random.Random(150)
+    trees = [random_signed_tree(n, rng) for n in range(1, 13) for _ in range(25)]
+    assert sum(map(is_bicentral, trees)) >= 50
+    for g in trees:
+        assert_relabeling_found(g, relabeled(g, rng))
+
+
+def assert_agrees_with_brute_force(g, h):
+    ours = are_isomorphic(g, h)
+    brute = brute_force_isomorphism(g.n, g.edges, h.edges)
+    assert (ours is None) == (brute is None)
+    if ours is not None:
+        p = permutation_matrix(ours)
         assert p.T @ g.adjacency() @ p == h.adjacency()
-        # symmetry: inverting the permutation maps back
-        back = are_isomorphic(h, g)
-        assert back is not None
-        q = permutation_matrix(back)
-        assert q.T @ h.adjacency() @ q == g.adjacency()
+    return ours is not None
 
 
 def test_isomorphism_agrees_with_brute_force():
@@ -247,12 +278,22 @@ def test_isomorphism_agrees_with_brute_force():
         n = rng.randint(2, 6)
         g = random_signed_graph(n, rng)
         h = random_signed_graph(n, rng)
-        ours = are_isomorphic(g, h)
-        brute = brute_force_isomorphism(n, g.edges, h.edges)
-        assert (ours is None) == (brute is None)
-        if ours is not None:
-            p = permutation_matrix(ours)
-            assert p.T @ g.adjacency() @ p == h.adjacency()
+        assert_agrees_with_brute_force(g, h)
+    # signed trees: a re-signed relabeled copy (often isomorphic) or an
+    # independent tree of the same order
+    rng = random.Random(160)
+    outcomes = []
+    bicentral = 0
+    for _ in range(80):
+        g = random_signed_tree(rng.randint(1, 7), rng)
+        if rng.random() < 0.5:
+            h = relabeled(random_signing(g, rng), rng)
+        else:
+            h = random_signed_tree(g.n, rng)
+        bicentral += is_bicentral(g)
+        outcomes.append(assert_agrees_with_brute_force(g, h))
+    assert 10 <= sum(outcomes) <= 70
+    assert bicentral >= 10
 
 
 def test_tree_isomorphism_signed_forms():
