@@ -228,12 +228,11 @@ def _cmd_verify_lemma34(args) -> int:
 
 def _cmd_search_mates(args) -> int:
     g = _load_graph(args.graph)
-    pool_n = g.n if args.pool_n is None else args.pool_n
-    _guard_order(pool_n, args)
+    _guard_order(g.n, args)
     report = find_gc_mates(
         g,
-        all_signed_trees(pool_n),
-        descriptor=f"all signings of all trees on {pool_n} vertices",
+        all_signed_trees(g.n),
+        descriptor=f"all signings of all trees on {g.n} vertices",
     )
     payload = {
         "query_edges": [list(e) for e in g.edges],
@@ -394,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_sub("search-mates", "search signed trees for generalized-cospectral mates", guarded)
     p.add_argument("graph")
-    p.add_argument("--pool-n", type=int, default=None)
     p.set_defaults(func=_cmd_search_mates)
 
     p = add_sub("exhaustive-check", "confirm all certified trees of one order", guarded)

@@ -17,7 +17,6 @@ import heapq
 import random
 from dataclasses import dataclass, replace
 from itertools import product
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .certify import certify_tree
@@ -29,7 +28,6 @@ from .sgraph import (
     are_isomorphic,
     bipartition,
     has_perfect_matching,
-    is_tree,
     part_sorted_adjacency,
     require_tree,
     tree_canonical_form,
@@ -206,34 +204,36 @@ def find_gc_mates(
 ) -> MateReport:
     """Generalized-cospectral, non-isomorphic members of the pool.
 
-    The pool is streamed.  Candidates are filtered by adjacency charpoly
-    first and by walk key (see sgraph.walk_key) only on survivors.  Every
-    signing of a tree is switching-similar to the tree, so a tree's charpoly
-    is computed once per unsigned edge set; any other pool member gets its
-    own.  Q is recovered and classified for each mate whenever both sides
-    are controllable.
+    The pool is scanned one unit at a time: a SignedTreePool (see
+    all_signed_trees) by tree, any other iterable by member.  A unit of
+    another order than the query's is skipped uncounted.  Every signing of
+    a tree is switching-similar to the tree, so a tree unit's 2^(n-1)
+    signings all have the tree's charpoly: one charpoly per unit decides
+    whether any member can match, and a unit whose charpoly differs from
+    the query's is counted and skipped whole.  The members of a matching
+    unit are streamed in pool order and filtered by walk key (see
+    sgraph.walk_key) and isomorphism.  Q is recovered and classified for
+    each mate whenever both sides are controllable.
     """
     phi = charpoly(query.adjacency())
     key = walk_key(query)
-    tree_phi: dict[tuple, IntPolynomial] = {}  # unsigned edge set -> charpoly
+    if isinstance(pool, SignedTreePool):
+        units = ((tree, 1 << (tree.n - 1), enumerate_signings) for tree in pool.trees)
+    else:
+        units = ((g, 1, _alone) for g in pool)
     scanned = 0
     mates = []
-    for candidate in pool:
-        if candidate.n != query.n:
+    for graph, size, members in units:
+        if graph.n != query.n:
             continue
-        scanned += 1
-        shape = tuple(map(itemgetter(0, 1), candidate.edges))
-        poly = tree_phi.get(shape)
-        if poly is None:
-            poly = charpoly(candidate.adjacency())
-            if is_tree(candidate):
-                tree_phi[shape] = poly
-        if poly != phi or walk_key(candidate) != key:
+        scanned += size
+        if charpoly(graph.adjacency()) != phi:
             continue
-        if are_isomorphic(query, candidate) is not None:
-            continue
-        recovery, classification = _recover_and_classify(query, candidate)
-        mates.append(MateEntry(mate=candidate, recovery=recovery, classification=classification))
+        for candidate in members(graph):
+            if walk_key(candidate) != key or are_isomorphic(query, candidate) is not None:
+                continue
+            recovery, classification = _recover_and_classify(query, candidate)
+            mates.append(MateEntry(mate=candidate, recovery=recovery, classification=classification))
     return MateReport(
         query=query,
         mates=tuple(mates),
@@ -242,10 +242,27 @@ def find_gc_mates(
     )
 
 
-def all_signed_trees(n: int) -> Iterator[SignedGraph]:
-    """Every signing of every free tree on n vertices."""
-    for tree in enumerate_trees(n).trees:
-        yield from enumerate_signings(tree)
+def _alone(g: SignedGraph) -> tuple[SignedGraph]:
+    return (g,)
+
+
+@dataclass(frozen=True)
+class SignedTreePool:
+    """Every signing of each of `trees`, tree by tree, each tree's signings
+    in enumerate_signings order.  Iterable any number of times; nothing is
+    built before iteration asks for it."""
+
+    trees: tuple[SignedGraph, ...]
+
+    def __iter__(self) -> Iterator[SignedGraph]:
+        for tree in self.trees:
+            yield from enumerate_signings(tree)
+
+
+def all_signed_trees(n: int) -> SignedTreePool:
+    """Every signing of every free tree on n vertices, as a re-iterable
+    pool over enumerate_trees(n).trees; find_gc_mates scans it by tree."""
+    return SignedTreePool(enumerate_trees(n).trees)
 
 
 # -- exhaustive spectral-determinacy confirmation ----------------------------------

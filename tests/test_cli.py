@@ -255,7 +255,7 @@ def test_one_vertex_tree_exit_0(capsys, tmp_path):
 
 def test_max_n_env_mirror(capsys, monkeypatch):
     monkeypatch.setenv("SPECTRAL_MAX_N", "4")
-    code, _, err = run(capsys, "search-mates", "dataset:remark1-a", "--pool-n", "6")
+    code, _, err = run(capsys, "search-mates", "dataset:remark1-a")
     assert code == 1
     assert "max-n" in err or "resource guard" in err
 
@@ -276,13 +276,6 @@ def test_max_n_only_on_enumerating_commands(capsys, monkeypatch):
     code, _, err = run(capsys, "certify", "--dataset", "example1-poly", "--max-n", "3")
     assert code == 1
     assert "unrecognized arguments: --max-n" in err
-
-
-def test_search_mates_pool_n_0_exit_1(capsys, p4_file):
-    code, out, err = run(capsys, "search-mates", p4_file, "--pool-n", "0")
-    assert code == 1
-    assert out == ""
-    assert err == "error: tree enumeration needs n >= 1, got 0\n"
 
 
 def test_internal_invariant_exit_2(capsys, monkeypatch):

@@ -34,9 +34,9 @@ from sgdgs.sgraph import (
     tree_canonical_form,
     walk_key,
 )
-from sgdgs.spectra import are_generalized_cospectral
+from sgdgs.spectra import are_generalized_cospectral, is_controllable
 
-from oracles import full_key_groups, matching_polynomial, prufer_free_tree_count
+from oracles import dense_walk_counts, full_key_groups, matching_polynomial, prufer_free_tree_count
 
 
 def test_pool_counts_match_free_tree_sequence():
@@ -236,6 +236,71 @@ def test_all_signed_trees_stream():
     count = sum(1 for _ in all_signed_trees(5))
     # 3 trees on 5 vertices, 16 signings each
     assert count == 3 * 16
+    for n in range(1, 8):
+        pool = all_signed_trees(n)
+        assert pool.trees == enumerate_trees(n).trees
+        first, second = list(pool), list(pool)
+        assert first == second
+        chained = list(itertools.chain.from_iterable(map(enumerate_signings, pool.trees)))
+        assert first == chained
+        assert len(first) == FREE_TREE_COUNTS[n - 1] << (n - 1)
+
+
+def test_find_gc_mates_tree_pool_agrees_with_direct_filter():
+    """Scanning all_signed_trees(n) tree by tree finds exactly the mates of
+    a direct filter of the signing list: phi taken per tree here, walk
+    counts by dense mat-vecs (on a common phi, equal walk counts mean
+    generalized cospectral; see sgraph.walk_key).  Queries come from
+    buckets with non-isomorphic members.  192 such buckets at n = 10 span
+    two trees; their queries get mates from another tree, and those of a
+    four-member bucket from the query's own tree too, so the tree order of
+    the scan shows in the mate order.  Controllable queries (n = 7 and 9)
+    have mates with a recovered and classified Q."""
+    cross_tree_mates = two_tree_reports = classified_mates = 0
+    for n in range(5, 11):
+        trees = enumerate_trees(n).trees
+        phis = [charpoly(t.adjacency()) for t in trees]
+        signings = [(i, g) for i, t in enumerate(trees) for g in enumerate_signings(t)]
+        # a bucket spans two trees only inside a phi class of several trees
+        shared = {phi for phi in phis if phis.count(phi) > 1}
+        buckets = {}
+        for i, g in signings:
+            if n < 10 or phis[i] in shared:
+                buckets.setdefault((phis[i], walk_key(g)), []).append((i, g))
+        if n < 10:
+            mixed = [
+                m for m in buckets.values()
+                if len(m) > 1 and len({tree_canonical_form(g) for _, g in m}) > 1
+            ]
+            queries = [mixed[0][0]]
+            # a controllable query has controllable mates, so Q is recovered
+            queries += [m[0] for m in mixed if is_controllable(m[0][1].adjacency())][:1]
+        else:
+            cross = [m for m in buckets.values() if len({i for i, _ in m}) > 1]
+            assert len(cross) == 192
+            queries = [cross[0][0], next(m for m in cross if len(m) == 4)[0], cross[-1][0]]
+        for tree_index, query in queries:
+            walks = dense_walk_counts(query.adjacency().to_lists(), n)
+            direct = [
+                g for i, g in signings
+                if phis[i] == phis[tree_index]
+                and dense_walk_counts(g.adjacency().to_lists(), n) == walks
+                and are_isomorphic(query, g) is None
+            ]
+            assert direct
+            report = find_gc_mates(query, all_signed_trees(n))
+            assert [entry.mate.edges for entry in report.mates] == [g.edges for g in direct]
+            classifications = [_recover_and_classify(query, g)[1] for g in direct]
+            assert [entry.classification for entry in report.mates] == classifications
+            classified_mates += sum(c is not None for c in classifications)
+            assert report.candidates_scanned == len(signings)
+            own = tree_canonical_form(trees[tree_index])
+            sources = [tree_canonical_form(g.underlying()) for g in direct]
+            cross_tree_mates += sum(form != own for form in sources)
+            two_tree_reports += len(set(sources)) > 1
+            other = find_gc_mates(query, all_signed_trees(n - 1))
+            assert (other.mates, other.candidates_scanned) == ((), 0)
+    assert cross_tree_mates > 0 and two_tree_reports > 0 and classified_mates > 0
 
 
 def _classes(keys):
